@@ -35,6 +35,8 @@ from repro.core import (
 from repro.graphs import rmat
 from repro.sparse import (
     KERNELS,
+    CSRMatrix,
+    KernelBackend,
     get_kernel,
     indicator_rows,
     row_normalize,
@@ -78,14 +80,44 @@ def test_ladies_frontier_spgemm(benchmark, kernel, medium_adj, medium_batches):
     assert out.equal(spgemm(q, medium_adj), 1e-9)
 
 
+def _assert_spmm_matches(kernel, out, a, x):
+    """Backends sharing the numpy SpMM must match it byte for byte; a
+    backend with its own SpMM (scipy) only up to summation order."""
+    ref = spmm(a, x)
+    assert out.shape == ref.shape
+    if type(KERNELS.get(kernel)).spmm is KernelBackend.spmm:
+        assert out.tobytes() == ref.tobytes()
+    else:
+        assert np.allclose(out, ref)
+
+
 @pytest.mark.parametrize("kernel", KERNEL_NAMES)
 def test_spmm_kernel(benchmark, kernel):
     rng = np.random.default_rng(3)
     a = sprand(5000, 5000, 0.002, rng)
     x = rng.standard_normal((5000, 64))
     out = benchmark(KERNELS.get(kernel).spmm, a, x)
-    assert out.shape == (5000, 64)
-    assert np.allclose(out, spmm(a, x))
+    _assert_spmm_matches(kernel, out, a, x)
+
+
+@pytest.mark.parametrize("fanout", [5, 10, 15])
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
+def test_spmm_sampled_layer(benchmark, kernel, fanout):
+    """The propagation shape: every row of a sampled layer holds exactly
+    ``fanout`` nonzeros, against 128 features."""
+    rng = np.random.default_rng(7)
+    rows, cols = 8192, 16384
+    indices = np.sort(
+        np.stack([rng.choice(cols, fanout, replace=False) for _ in range(rows)]),
+        axis=1,
+    ).ravel()
+    a = CSRMatrix(
+        np.arange(rows + 1) * fanout, indices, np.full(indices.size, 1 / fanout),
+        (rows, cols),
+    )
+    x = rng.standard_normal((cols, 128))
+    out = benchmark(KERNELS.get(kernel).spmm, a, x)
+    _assert_spmm_matches(kernel, out, a, x)
 
 
 def test_its_kernel(benchmark, medium_adj):

@@ -169,6 +169,21 @@ class RunConfig:
                 f"parallelizes over real worker processes (workers=N), not "
                 f"simulated ranks — use algorithm='replicated' to sweep p"
             )
+        if self.batch_size <= 0:
+            raise ValueError(
+                f"batch_size must be positive, got {self.batch_size}: it is "
+                f"the number of seed vertices per minibatch (--batch-size)"
+            )
+        if self.hidden <= 0:
+            raise ValueError(
+                f"hidden must be positive, got {self.hidden}: it is the "
+                f"width of every hidden layer (--hidden)"
+            )
+        if any(s <= 0 for s in self.fanout):
+            raise ValueError(
+                f"fanout entries must be positive, got {self.fanout}: each "
+                f"is the sample count of one layer (--fanout N,N,...)"
+            )
         if self.k is not None and self.k <= 0:
             raise ValueError("bulk size k must be positive")
         if self.scale <= 0:

@@ -127,6 +127,22 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(train_split=1.5)
 
+    @pytest.mark.parametrize(
+        "field, value, flag",
+        [
+            ("batch_size", 0, "--batch-size"),
+            ("batch_size", -4, "--batch-size"),
+            ("hidden", 0, "--hidden"),
+            ("fanout", (15, 0, 5), "--fanout"),
+            ("fanout", (-1,), "--fanout"),
+        ],
+    )
+    def test_non_positive_sizes_rejected(self, field, value, flag):
+        with pytest.raises(ValueError) as exc:
+            RunConfig(**{field: value})
+        msg = str(exc.value)
+        assert field in msg and "positive" in msg and flag in msg
+
     def test_fanout_list_coerced_to_tuple(self):
         assert RunConfig(fanout=[5, 3]).fanout == (5, 3)
 
