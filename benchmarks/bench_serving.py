@@ -19,8 +19,8 @@ The script *asserts* the serving subsystem's contract as it runs:
   digest.
 
 **Fleet sweep** (``BENCH_serving_fleet.json``): the same closed-loop load
-at fleet scale — replica count x router policy through the
-:class:`~repro.serve.ServingCluster` — asserting every fleet configuration
+at fleet scale — replica count x router policy through the same
+:class:`~repro.serve.ServingEngine` — asserting every fleet configuration
 serves the *same* logits digest (exactness is replica-invariant), that a
 routed N>1 fleet out-throughputs the single replica at high offered load,
 and that the SLO autoscaler scales up and converges under an
@@ -43,7 +43,7 @@ from repro.api import Engine, RunConfig
 from repro.bench import write_bench_artifact
 from repro.bench.reporting import format_table
 from repro.pipeline import layerwise_inference
-from repro.serve import ClosedLoopWorkload, ServingCluster, ServingEngine
+from repro.serve import ClosedLoopWorkload, ServingEngine
 
 
 def run_point(
@@ -81,13 +81,13 @@ def run_fleet_point(
     autoscale_max: int = 8,
     autoscale_interval: float = 5e-4,
 ):
-    """One fleet sweep point: a fresh cluster over a fresh closed loop."""
+    """One fleet sweep point: a fresh server over a fresh closed loop."""
     cfg = engine.config.replace(
         replicas=replicas, router=router, embed_budget=embed_budget,
         slo_p99=slo_p99, autoscale_max=autoscale_max,
         autoscale_interval=autoscale_interval,
     )
-    fleet = ServingCluster(engine.model, engine.graph, cfg)
+    fleet = ServingEngine(engine.model, engine.graph, cfg)
     workload = ClosedLoopWorkload(
         n_requests, engine.graph.test_idx, clients=clients, seed=seed
     )

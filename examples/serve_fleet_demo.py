@@ -3,7 +3,7 @@
 Trains a small SAGE model through the :class:`repro.api.Engine`, then
 drives the same trained weights through four fleet shapes:
 
-1. a **single server** baseline (the pre-fleet ``ServingEngine`` path);
+1. a **single server** baseline (one replica);
 2. a **round-robin fleet** at the same offered load, showing the
    near-linear throughput win once one server saturates;
 3. a **consistent-hash fleet** with the embedding cache on, showing why
@@ -23,7 +23,7 @@ Run:  python examples/serve_fleet_demo.py
 from __future__ import annotations
 
 from repro.api import Engine, RunConfig
-from repro.serve import ClosedLoopWorkload, ServingCluster, TraceWorkload
+from repro.serve import ClosedLoopWorkload, ServingEngine, TraceWorkload
 
 
 def closed_loop(engine: Engine, n=256, clients=48):
@@ -55,11 +55,11 @@ def main() -> None:
     # -- 1+2: single server vs a routed fleet at the same load ---------- #
     digests = {}
     for replicas in (1, 4):
-        cluster = ServingCluster(
+        server = ServingEngine(
             engine.model, engine.graph,
             cfg.replace(replicas=replicas, router="round_robin"),
         )
-        report = cluster.process(closed_loop(engine))
+        report = server.process(closed_loop(engine))
         digests[replicas] = report.digest()
         spread = "  ".join(
             f"r{rid}:{n}" for rid, n in sorted(report.per_replica.items())
@@ -73,11 +73,11 @@ def main() -> None:
     # -- 3: locality-aware routing keeps the cache hot ------------------ #
     hot_pool = engine.graph.test_idx[:16]  # a skewed, cacheable workload
     for router in ("round_robin", "consistent_hash"):
-        cluster = ServingCluster(
+        server = ServingEngine(
             engine.model, engine.graph,
             cfg.replace(replicas=4, router=router, embed_budget=128e3),
         )
-        report = cluster.process(
+        report = server.process(
             TraceWorkload.synthetic(96, hot_pool, seed=3, interarrival=5e-5)
         )
         print(f"{router:16s} embed-cache hit-rate "
@@ -85,12 +85,12 @@ def main() -> None:
     print()
 
     # -- 4: the autoscaler reacts to a violated SLO --------------------- #
-    cluster = ServingCluster(
+    server = ServingEngine(
         engine.model, engine.graph,
         cfg.replace(replicas=1, router="round_robin", slo_p99=2e-4,
                     autoscale_max=4, autoscale_interval=5e-4),
     )
-    report = cluster.process(closed_loop(engine, n=384, clients=32))
+    report = server.process(closed_loop(engine, n=384, clients=32))
     steps = " -> ".join(str(n) for _, n in report.replica_trace)
     print(f"autoscaler: {steps} replicas "
           f"(p99 {report.latency_summary()['p99'] * 1e3:.3f} ms vs "

@@ -10,8 +10,7 @@ reproduces a run::
 
 Validation happens at construction and names the registry's known keys, so
 a typo or a missing plugin import fails immediately with the accepted
-options listed.  ``repro.pipeline.PipelineConfig`` is a deprecated alias
-that delegates here.
+options listed.
 """
 
 from __future__ import annotations
@@ -56,9 +55,8 @@ class RunConfig:
     """Configuration of one run: cluster shape, algorithm/sampler keys,
     model hyper-parameters and (optionally) the dataset to load.
 
-    Field order up to ``machine`` matches the historical ``PipelineConfig``
-    so existing call sites keep working; everything after it is new
-    Engine-level configuration.
+    The fields up to ``machine`` configure the training pipeline; the rest
+    are Engine-level options (serving, streaming, parallelism, tracing).
     """
 
     p: int = 1
@@ -96,9 +94,9 @@ class RunConfig:
     # -- streaming graphs (repro.stream) -------------------------------- #
     stream_updates: bool = False  # serve over a DeltaCSR accepting edge churn
     compaction_threshold: float = 0.25  # delta-log fraction of nnz that compacts
-    # -- serving fleet (repro.serve.cluster) ----------------------------- #
-    replicas: int = 1  # initial serving fleet size; 1 = single ServingEngine
-    router: str = "direct"  # fleet routing policy (repro.serve.ROUTERS key)
+    # -- serving replicas (repro.serve.engine) --------------------------- #
+    replicas: int = 1  # initial replica count of the ServingEngine
+    router: str = "direct"  # request routing policy (repro.serve.ROUTERS key)
     shed_policy: str = "none"  # admission control: none | queue | deadline
     shed_queue_depth: int = 64  # per-replica queue bound for shed_policy="queue"
     shed_deadline: float = 0.0  # staleness bound (s) for shed_policy="deadline"
@@ -209,7 +207,7 @@ class RunConfig:
                 "as a fraction of the base nnz, at which the streaming "
                 "overlay compacts into a fresh CSR)"
             )
-        # Fleet knobs: import locally — repro.serve imports repro.api.
+        # Replica knobs: import locally — repro.serve imports repro.api.
         from ..serve.admission import SHED_POLICIES
         from ..serve.router import ROUTERS
 

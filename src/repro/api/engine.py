@@ -231,49 +231,34 @@ class Engine:
         *,
         fanout: Sequence[int] | None = None,
         stream: bool | None = None,
-        fleet: bool | None = None,
     ):
-        """Build a server over this engine's graph and (current) weights.
+        """Build a :class:`~repro.serve.ServingEngine` over this engine's
+        graph and (current) weights.
 
-        Returns a single-server :class:`~repro.serve.ServingEngine`, or a
-        :class:`~repro.serve.ServingCluster` when the config asks for a
-        fleet — ``replicas > 1``, a non-``direct`` router, admission
-        control, or a p99 SLO (autoscaling).  ``fleet`` forces the choice
-        either way; both expose the same ``process(workload)`` →
-        :class:`~repro.serve.ServeReport` surface, and an N=1 cluster is
-        bit-identical to the engine.
-
-        ``fanout=None`` (default) serves exact full-neighborhood logits —
-        bit-identical to :func:`~repro.pipeline.layerwise_inference` — and
-        honors ``config.embed_budget``; an explicit per-layer fanout serves
+        The server runs ``config.replicas`` replicas behind
+        ``config.router``, with the config's admission control, p99-SLO
+        autoscaler and ``workers`` processes.  ``fanout=None`` (default)
+        serves exact full-neighborhood logits — bit-identical to
+        :func:`~repro.pipeline.layerwise_inference` — and honors
+        ``config.embed_budget``; an explicit per-layer fanout serves
         approximate logits through the configured sampler.  Serving knobs
         (``serve_batch_size``, ``serve_max_wait``, ``embed_budget``) come
         from :attr:`config`.  The returned server snapshots nothing: it
-        reads the live model, so serve after training (or call
-        ``server.cache.clear()`` if weights change under a cache).
+        reads the live model, so serve after training (or clear each
+        ``server.replicas[i].cache`` if weights change under a cache).
 
         ``stream`` (default ``config.stream_updates``) wraps the graph in
         a :class:`~repro.stream.StreamingGraph` so the server accepts
         :class:`~repro.stream.UpdateStream` workloads — edge churn applied
-        between micro-batches (broadcast to every replica in a fleet),
-        delta-log compaction at ``config.compaction_threshold``, and
-        dirty-vertex invalidation of the embedding cache.  Note the
-        StreamingGraph mutates this engine's ``graph.adj`` in place as
-        updates land (serving tracks the *current* graph by design).
+        between micro-batches and absorbed by every replica, delta-log
+        compaction at ``config.compaction_threshold``, and dirty-vertex
+        invalidation of the embedding caches.  Note the StreamingGraph
+        mutates this engine's ``graph.adj`` in place as updates land
+        (serving tracks the *current* graph by design).
         """
-        from ..serve import ServingCluster, ServingEngine
+        from ..serve import ServingEngine
 
         cfg = self.config
-        if fleet is None:
-            fleet = (
-                cfg.replicas > 1
-                or cfg.router != "direct"
-                or cfg.shed_policy != "none"
-                or cfg.slo_p99 > 0
-                # workers > 0 serves through the cluster's parallel path
-                # (an N=1 fleet is bit-identical to the engine).
-                or cfg.workers > 0
-            )
         if stream is None:
             stream = cfg.stream_updates
         streaming_graph = None
@@ -284,8 +269,7 @@ class Engine:
                 self.graph,
                 compaction_threshold=cfg.compaction_threshold,
             )
-        server_cls = ServingCluster if fleet else ServingEngine
-        return server_cls(
+        return ServingEngine(
             self.model, self.graph, cfg, fanout=fanout,
             stream=streaming_graph,
         )

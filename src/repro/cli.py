@@ -200,11 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="embedding-cache budget for hot penultimate-layer "
                      "rows (default 0 = off)")
     srv.add_argument("--replicas", type=int, default=None,
-                     help="serving fleet size, default 1 (>1 builds a "
-                     "routed ServingCluster)")
+                     help="serving replicas behind the router, default 1")
     srv.add_argument("--router", default=None,
                      choices=["direct", "round_robin", "consistent_hash"],
-                     help="fleet routing policy, default direct")
+                     help="request routing policy, default direct")
     srv.add_argument("--shed-policy", default=None, dest="shed_policy",
                      choices=["none", "queue", "deadline"],
                      help="admission control: shed on per-replica queue "
@@ -459,7 +458,7 @@ def _resolve_train_config(args):
     # Worker processes parallelize over real cores, not simulated ranks,
     # so `train --workers N` without --algorithm/--p selects the parallel
     # backend at p=1.  serve/stream keep their training defaults: there
-    # --workers drives the serving fleet, not the training backend.
+    # --workers drives the serving replicas, not the training backend.
     if (
         getattr(args, "command", None) == "train"
         and overrides.get("workers", 0) > 0
@@ -540,16 +539,13 @@ def _cmd_serve(args) -> int:
         _setup_obs(args)
         engine = Engine(cfg)
         # One consolidated banner up front: the dataset/serving knobs plus
-        # — when anything forces the fleet path (including --workers) —
         # the effective replica/router/worker config with the kernel.
         print(f"dataset {cfg.dataset} (scale {cfg.scale}): sampler "
               f"{cfg.sampler}, kernel {cfg.kernel}, "
               f"serve_batch_size={cfg.serve_batch_size}, "
               f"serve_max_wait={cfg.serve_max_wait}, "
               f"embed_budget={cfg.embed_budget:.0f}")
-        fleet_line = _fleet_banner(cfg)
-        if fleet_line is not None:
-            print(fleet_line)
+        print(_fleet_banner(cfg))
         engine.train(cfg.epochs)
         server = engine.serving()
         if args.requests is not None:
@@ -592,22 +588,8 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _fleet_banner(cfg) -> str | None:
-    """The serve/stream fleet banner, or None for a single-server run.
-
-    Mirrors Engine.serving's fleet auto-detection, so the banner prints
-    exactly when a ServingCluster will be built — including when --workers
-    alone forces the fleet path.
-    """
-    fleet = (
-        cfg.replicas > 1
-        or cfg.router != "direct"
-        or cfg.shed_policy != "none"
-        or cfg.slo_p99 > 0
-        or cfg.workers > 0
-    )
-    if not fleet:
-        return None
+def _fleet_banner(cfg) -> str:
+    """The serve/stream banner line for the replicas, router and workers."""
     line = (f"fleet: {cfg.replicas} replica(s), router {cfg.router}, "
             f"shed_policy {cfg.shed_policy}, workers {cfg.workers}, "
             f"kernel {cfg.kernel}")
@@ -637,9 +619,7 @@ def _cmd_stream(args) -> int:
               f"serve_batch_size={cfg.serve_batch_size}, "
               f"embed_budget={cfg.embed_budget:.0f}, "
               f"compaction_threshold={cfg.compaction_threshold}")
-        fleet_line = _fleet_banner(cfg)
-        if fleet_line is not None:
-            print(fleet_line)
+        print(_fleet_banner(cfg))
         engine.train(cfg.epochs)
         server = engine.serving()
         pool = engine.graph.test_idx

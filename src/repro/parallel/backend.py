@@ -62,7 +62,7 @@ class ParallelBackend:
 
     def setup(self, pipeline: "TrainingPipeline") -> None:
         cfg = pipeline.config
-        workers = int(getattr(cfg, "workers", 0))
+        workers = cfg.workers
         if workers <= 0:
             return  # serial fallback: no multiprocessing imports at all
         from .pool import SamplerSpec, WorkerPool

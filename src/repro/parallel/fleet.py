@@ -1,6 +1,6 @@
-"""Parallel serving fleet: each replica's timeline in its own process.
+"""Parallel serving: each replica's timeline in its own process.
 
-The serial :meth:`~repro.serve.cluster.ServingCluster.process` loop is an
+The serial :meth:`~repro.serve.engine.ServingEngine.process` loop is an
 earliest-``(t, rid)`` merge of per-replica timelines.  When three
 conditions hold, that merge *decomposes exactly* into independent
 per-replica runs:
@@ -15,15 +15,16 @@ per-replica runs:
   requested vertices and the graph state at dispatch, so the global
   batch-index RNG key is metadata, not math.
 
-Under those conditions each worker replays its replica's full timeline —
-micro-batch dispatch, deadline shedding, streaming-update absorption at
-``max(free, update.at)``, embedding-cache fills — against zero-copy
-shared-memory graph/feature views, and returns results, clock state and
-counters.  The parent reassembles the global order (dispatches sort by
-``(t, rid)``, exactly the serial merge order), renumbers batch indices,
-replays the updates once on its own stream for final graph state, and
-emits the same :class:`~repro.serve.engine.ServeReport` the serial loop
-would.  Digest bit-identity at every worker count is pinned in
+Under those conditions the parent runs the engine's prologue (routing
+and admission into each replica's queue), ships every replica's queue to
+a worker, and each worker runs the *same* event loop on a one-replica
+:class:`~repro.serve.engine.ServingEngine` over zero-copy shared-memory
+graph/feature views and a private stream.  The parent reassembles the
+global order (dispatches sort by ``(t, rid)``, exactly the serial merge
+order), renumbers batch indices, replays the updates once on its own
+stream for final graph state, and emits the same
+:class:`~repro.serve.engine.ServeReport` the serial loop would.  Digest
+bit-identity at every worker count is pinned in
 ``tests/test_fleet_parallel.py``.
 
 Anything outside the decomposable regime raises an actionable error
@@ -34,14 +35,12 @@ semantics.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from ..comm.clock import SimClock
-from ..obs.trace import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..serve.cluster import ServingCluster
-    from ..serve.engine import ServeReport
+    from ..serve.engine import ServeReport, ServingEngine
 
 __all__ = ["process_parallel", "clock_state", "restore_clock"]
 
@@ -76,13 +75,12 @@ def _serve_replica_task(adj, features, payload: dict) -> dict:
     """Run one replica's whole serving timeline in a pool worker.
 
     ``adj``/``features`` are the worker's shared-memory views; the payload
-    carries the replica id, its admitted requests in submission order, the
-    full update stream, the model and the config.  Mirrors the serial
-    loop's per-replica decisions exactly (see module docstring).
+    carries the replica id, its admitted request queue, the full update
+    stream, the model and the config.  The replica is served by the
+    engine's own event loop, so its decisions match the serial run's.
     """
     from ..graphs import Graph
-    from ..serve.admission import AdmissionController
-    from ..serve.replica import Replica
+    from ..serve.engine import ServingEngine
 
     config = payload["config"]
     graph = Graph(name=payload["graph_name"], adj=adj, features=features)
@@ -92,58 +90,18 @@ def _serve_replica_task(adj, features, payload: dict) -> dict:
         from ..stream.graph import StreamingGraph
 
         stream = StreamingGraph(
-            graph,
-            compaction_threshold=getattr(config, "compaction_threshold", 0.25),
+            graph, compaction_threshold=config.compaction_threshold
         )
-    rep = Replica(config=config, model=payload["model"], graph=graph,
-                  fanout=None, rid=payload["rid"])
-    admission = AdmissionController(
-        getattr(config, "shed_policy", "none"),
-        queue_depth=getattr(config, "shed_queue_depth", 64),
-        deadline=getattr(config, "shed_deadline", 0.0),
+    server = ServingEngine(
+        payload["model"], graph, config.replace(replicas=1), stream=stream
     )
-    for req in payload["requests"]:
-        rep.queue.push(req)
-
-    results: list[list] = []
-    dispatch_times: list[float] = []
-    next_update = 0
-    local_index = 0
-
-    def absorb(update) -> None:
-        result = stream.apply(update)
-        at = max(rep.free, update.at)
-        rep.free = at + rep.absorb_update(result, at=at)
-
-    while True:
-        dispatch = rep.batcher.next_dispatch(rep.queue, rep.free)
-        if dispatch is None:
-            if next_update < len(updates):
-                absorb(updates[next_update])
-                next_update += 1
-                continue
-            break
-        t, batch = dispatch
-        if next_update < len(updates) and updates[next_update].at <= t:
-            rep.queue.pending = batch + rep.queue.pending
-            absorb(updates[next_update])
-            next_update += 1
-            continue
-        batch = admission.filter_batch(rep, batch, t)
-        if not batch:
-            continue
-        batch_results = rep.serve_batch(batch, t, local_index)
-        rep.free = batch_results[0].completed
-        rep.batches += 1
-        rep.served += len(batch_results)
-        results.append(batch_results)
-        dispatch_times.append(t)
-        local_index += 1
-
+    rep = server.replicas[0]
+    rep.rid = payload["rid"]
+    rep.queue = payload["queue"]
+    results, _, _ = server._run(lambda result: (), updates)
     return {
-        "rid": payload["rid"],
+        "rid": rep.rid,
         "results": results,
-        "dispatch_times": dispatch_times,
         "clock": clock_state(rep.clock),
         "stats": rep.stats,
         "batches": rep.batches,
@@ -160,80 +118,47 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(f"parallel serving (workers > 0) {message}")
 
 
-def process_parallel(
-    cluster: "ServingCluster", workload, workers: int
-) -> "ServeReport":
-    """The ``workers > 0`` path of :meth:`ServingCluster.process`."""
+def process_parallel(server: "ServingEngine", workload) -> "ServeReport":
+    """The ``workers > 0`` path of :meth:`ServingEngine.process`."""
     from ..serve.cache import ServeStats
     from ..serve.request import RequestQueue
     from .pool import WorkerPool
     from .shm import SharedFeatures, SharedGraph
 
-    _require(cluster.exact, "requires exact serving (fanout=None): sampled "
+    _require(server.exact, "requires exact serving (fanout=None): sampled "
              "serving draws from a global batch-index RNG the per-replica "
              "decomposition cannot reproduce")
-    _require(cluster.autoscaler is None, "is incompatible with autoscaling "
+    _require(server.autoscaler is None, "is incompatible with autoscaling "
              "(slo_p99 > 0): scaling decisions couple replica timelines; "
              "run with workers=0")
     _require(bool(getattr(workload, "open_loop", False)),
              "needs an open-loop workload (a request trace): closed-loop "
              "clients submit based on completions, which couples replica "
              "timelines; run with workers=0")
-    _require(not any(rep.batches or rep.served for rep in cluster.replicas),
-             "must start from fresh replicas: a reused cluster carries warm "
+    _require(not any(rep.batches or rep.served for rep in server.replicas),
+             "must start from fresh replicas: a reused engine carries warm "
              "embedding caches the cold worker replicas would diverge from")
-
-    for rep in cluster.replicas:
-        rep.reset()
-    cluster.router.rebalance([rep.rid for rep in cluster.replicas])
-    updates = list(workload.updates()) if hasattr(workload, "updates") else []
-    if updates and cluster.stream is None:
-        raise ValueError(
-            "workload interleaves edge updates but this cluster serves "
-            "a frozen graph; build it over a StreamingGraph "
-            "(RunConfig(stream_updates=True))"
-        )
 
     # Routing + queue-depth admission in submission order (parent side) —
     # identical to the serial loop because every request is submitted
     # before any serving starts in an open-loop run.
-    by_rid = cluster._by_rid()
-    assigned: dict[int, list] = {rep.rid: [] for rep in cluster.replicas}
-    tracer = get_tracer()
-    for req in workload.initial():
-        rid = cluster.router.route(req)
-        rep = by_rid[rid]
-        admitted = cluster.admission.admit(rep, req)
-        if tracer is not None:
-            # Identical to ServingCluster._submit's route instant, so the
-            # router track matches the serial run event for event.
-            tracer.instant(
-                "route", t=req.arrival, cat="router", track="router",
-                args={
-                    "req": int(req.rid),
-                    "replica": int(rid),
-                    "admitted": bool(admitted),
-                },
-            )
-        if admitted:
-            rep.queue.push(req)
-            assigned[rep.rid].append(req)
-
-    shared_graph = SharedGraph.publish(cluster.graph.adj)
-    shared_features = SharedFeatures.publish(cluster.graph.features)
+    updates = server._start(workload)
+    shared_graph = SharedGraph.publish(server.graph.adj)
+    shared_features = SharedFeatures.publish(server.graph.features)
     payloads = [
         {
             "rid": rep.rid,
-            "graph_name": cluster.graph.name,
-            "requests": assigned[rep.rid],
+            "graph_name": server.graph.name,
+            "queue": rep.queue,
             "updates": updates,
-            "model": cluster.model,
-            "config": cluster.config,
+            "model": server.model,
+            "config": server.config,
         }
-        for rep in cluster.replicas
+        for rep in server.replicas
     ]
     pool = WorkerPool(
-        min(int(workers), len(cluster.replicas)), shared_graph, shared_features
+        min(server.config.workers, len(server.replicas)),
+        shared_graph, shared_features,
     )
     try:
         outcomes = pool.run(_serve_replica_task, payloads)
@@ -245,27 +170,25 @@ def process_parallel(
     # Global dispatch order = the serial merge order: each replica's
     # dispatch times increase, and the serial loop always takes the
     # earliest (t, rid) — a k-way merge of sorted streams.
-    schedule: list[tuple[float, int, int]] = []
-    for outcome in outcomes:
-        for local_index, t in enumerate(outcome["dispatch_times"]):
-            schedule.append((t, outcome["rid"], local_index))
-    schedule.sort()
-    renumber = {
-        (rid, local): global_index
-        for global_index, (_, rid, local) in enumerate(schedule)
-    }
-    results = []
-    for outcome in outcomes:
-        rid = outcome["rid"]
-        for local_index, batch_results in enumerate(outcome["results"]):
-            global_index = renumber[(rid, local_index)]
-            results.extend(
-                dataclasses.replace(r, batch_index=global_index)
-                for r in batch_results
-            )
+    merged = sorted(
+        (
+            (r.dispatched, outcome["rid"], r.batch_index, r)
+            for outcome in outcomes
+            for r in outcome["results"]
+        ),
+        key=lambda entry: entry[:3],
+    )
+    renumber: dict[tuple[int, int], int] = {}
+    results = [
+        dataclasses.replace(
+            r, batch_index=renumber.setdefault((rid, local), len(renumber))
+        )
+        for _, rid, local, r in merged
+    ]
 
     # Merge worker state back onto the parent replicas so _report (and any
-    # later inspection) sees the same fleet the serial loop would leave.
+    # later inspection) sees the same replicas the serial loop would leave.
+    by_rid = {rep.rid: rep for rep in server.replicas}
     for outcome in outcomes:
         rep = by_rid[outcome["rid"]]
         rep.clock = restore_clock(outcome["clock"])
@@ -279,10 +202,20 @@ def process_parallel(
 
     # Replay the churn once on the parent's stream: final adjacency and
     # StreamStats match the serial run (workers applied updates only to
-    # their private copies).
+    # their private copies).  The parent replicas never absorbed it, so
+    # bring them onto the final graph without charging their merged
+    # clocks: exact fanout recomputed, cached state computed on the old
+    # adjacency dropped.
     for update in updates:
-        cluster.stream.apply(update)
+        server.stream.apply(update)
+    if updates:
+        for rep in server.replicas:
+            rep.fanout = rep._full_fanout()
+            if rep.prob_cache is not None:
+                rep.prob_cache.clear()
+            if rep.cache is not None:
+                rep.cache.clear()
 
-    results.sort(key=lambda r: r.request.rid)
-    trace = [(0.0, len(cluster.replicas))]
-    return cluster._report(results, len(schedule), updates, trace)
+    return server._report(
+        results, len(renumber), updates, [(0.0, len(server.replicas))]
+    )

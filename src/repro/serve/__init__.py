@@ -19,17 +19,16 @@ Quickstart::
     )
     print(report.latency_summary(), report.throughput)
 
-Fleet serving (N replicas, routed, SLO-autoscaled) layers a
-:class:`ServingCluster` over the same :class:`Replica` core::
+The same engine serves N routed, SLO-autoscaled :class:`Replica`\\ s when
+the config asks for them::
 
     cfg = RunConfig(..., replicas=4, router="consistent_hash", slo_p99=2e-4)
-    fleet = Engine(cfg).serving()        # a ServingCluster now
-    report = fleet.process(ClosedLoopWorkload(4096, targets, clients=64))
+    server = Engine(cfg).serving()
+    report = server.process(ClosedLoopWorkload(4096, targets, clients=64))
 """
 
-from .admission import AdmissionController, SHED_POLICIES
+from .admission import AdmissionController, Autoscaler, SHED_POLICIES
 from .cache import EmbeddingCache, ServeStats
-from .cluster import Autoscaler, ServingCluster
 from .engine import ServeReport, ServingEngine
 from .replica import Replica
 from .request import InferenceRequest, InferenceResult, MicroBatcher, RequestQueue
@@ -61,7 +60,6 @@ __all__ = [
     "make_router",
     "AdmissionController",
     "SHED_POLICIES",
-    "ServingCluster",
     "Autoscaler",
     "TraceWorkload",
     "ClosedLoopWorkload",

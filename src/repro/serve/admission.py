@@ -1,4 +1,4 @@
-"""Admission control: load shedding for the serving fleet.
+"""Admission control and autoscaling for the serving engine's replicas.
 
 An :class:`AdmissionController` protects replicas from overload by
 refusing work it can tell will be wasted.  Two orthogonal checks:
@@ -12,11 +12,14 @@ refusing work it can tell will be wasted.  Two orthogonal checks:
   dispatches is shed at *dispatch* time: serving it would burn replica
   time on an answer the client has given up on.
 
-``shed_policy="none"`` admits everything (the default, and the setting
-under which an N=1 fleet is bit-identical to the single-server engine).
-Shed counts accumulate in each replica's
-:class:`~repro.serve.cache.ServeStats` (``stats.shed``) and surface in the
-fleet's :class:`~repro.serve.engine.ServeReport`.
+``shed_policy="none"`` admits everything (the default).  Shed counts
+accumulate in each replica's :class:`~repro.serve.cache.ServeStats`
+(``stats.shed``) and surface in the
+:class:`~repro.serve.engine.ServeReport`.
+
+An :class:`Autoscaler` (enabled by ``slo_p99 > 0``) steps the live
+replica count from p99-vs-SLO on the simulated clock, so scaling decisions
+replay identically.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from ..obs.trace import get_tracer
 from .request import InferenceRequest
 
-__all__ = ["AdmissionController", "SHED_POLICIES"]
+__all__ = ["AdmissionController", "Autoscaler", "SHED_POLICIES"]
 
 SHED_POLICIES = ("none", "queue", "deadline")
 
@@ -85,3 +88,47 @@ class AdmissionController:
                             args={"req": int(r.rid), "waited": now - r.arrival},
                         )
         return kept
+
+
+class Autoscaler:
+    """Steps the live replica count from p99-vs-SLO on the simulated clock.
+
+    Every ``interval`` simulated seconds the serving loop hands the
+    autoscaler the p99 latency of requests completed in that window.  One step per
+    evaluation: scale up by one replica when p99 exceeds the SLO, scale
+    down by one when p99 is under half the SLO (the hysteresis band keeps
+    the fleet from oscillating), always within ``[min_replicas,
+    max_replicas]``.  Windows with no completed requests make no decision.
+    """
+
+    def __init__(
+        self,
+        slo_p99: float,
+        *,
+        min_replicas: int = 1,
+        max_replicas: int = 8,
+        interval: float = 0.01,
+    ) -> None:
+        if slo_p99 <= 0:
+            raise ValueError("autoscaling needs a positive p99 SLO")
+        if not (1 <= min_replicas <= max_replicas):
+            raise ValueError(
+                f"need 1 <= min_replicas <= max_replicas, got "
+                f"[{min_replicas}, {max_replicas}]"
+            )
+        if interval <= 0:
+            raise ValueError("autoscale interval must be positive")
+        self.slo_p99 = float(slo_p99)
+        self.min_replicas = int(min_replicas)
+        self.max_replicas = int(max_replicas)
+        self.interval = float(interval)
+
+    def decide(self, p99: float | None, n_live: int) -> int:
+        """Target replica count given the window's p99 (None = no data)."""
+        if p99 is None:
+            return n_live
+        if p99 > self.slo_p99:
+            return min(n_live + 1, self.max_replicas)
+        if p99 < 0.5 * self.slo_p99:
+            return max(n_live - 1, self.min_replicas)
+        return n_live

@@ -38,8 +38,8 @@ class ServeStats:
     (graph updates dirtying cached values) — deliberately separate from
     ``evictions`` so budget pressure and update churn are distinguishable.
     ``shed`` counts inference requests this server's
-    :class:`~repro.serve.admission.AdmissionController` refused (fleet
-    serving only; always 0 under ``shed_policy="none"``).
+    :class:`~repro.serve.admission.AdmissionController` refused (always 0
+    under ``shed_policy="none"``).
     """
 
     requests: int = 0

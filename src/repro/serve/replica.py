@@ -1,16 +1,15 @@
 """Replica: one serving unit's compute core, caches, and clock.
 
-A :class:`Replica` is everything *one* server owns in a serving fleet: the
+A :class:`Replica` is everything *one* server owns: the
 sampler (plan-compiled when the kernel supports it), the
 :class:`~repro.core.compile.ProbCache`, the
 :class:`~repro.serve.cache.EmbeddingCache`, a private
 :class:`~repro.comm.clock.SimClock` / :class:`~repro.comm.cost_model.CostModel`
 pair for phase accounting, and the :class:`~repro.serve.request.MicroBatcher`
 plus :class:`~repro.serve.request.RequestQueue` the dispatch policy runs on.
-What it deliberately does **not** own is the control loop: a single-server
-:class:`~repro.serve.engine.ServingEngine` or a multi-replica
-:class:`~repro.serve.cluster.ServingCluster` drives one or many replicas
-through the same three verbs —
+What it deliberately does **not** own is the control loop: the
+:class:`~repro.serve.engine.ServingEngine` drives one or many replicas
+through three verbs —
 
 * :meth:`serve_batch` — compute logits for one dispatched micro-batch,
   charging the replica's own clock;
@@ -18,12 +17,13 @@ through the same three verbs —
 * :meth:`absorb_update` — react to an applied graph update: refresh the
   exact-mode fanout, drop stale probability matrices, and invalidate the
   dirty vertices' cached embeddings (each replica invalidates *its own*
-  cache contents, which is what makes fleet-wide update broadcast cheap).
+  cache contents, which is what makes absorbing an update on every
+  replica cheap).
 
 Exactness is a per-replica property: in exact mode (``fanout=None``) the
 logits a replica serves are bit-identical to layer-wise inference and do
 not depend on which replica served the request, so any router policy in
-front of a fleet of replicas preserves the repo's signature contract.
+front of the replicas preserves the repo's signature contract.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class Replica:
     model and the seed.  ``fanout=None`` selects the exact full-neighborhood
     mode; a tuple of per-layer counts selects sampled serving through the
     configured sampler (its length must match the model depth).  ``rid``
-    names the replica inside a fleet (0 for a single server).
+    names the replica inside the engine (0 for the first).
     """
 
     def __init__(
@@ -132,8 +132,8 @@ class Replica:
             self.cache.stats if self.cache is not None else ServeStats()
         )
         self.batcher = MicroBatcher(config.serve_batch_size, config.serve_max_wait)
-        # Fleet scheduling state, owned here so a cluster stays stateless
-        # about the per-replica timeline.
+        # Scheduling state, owned here so the engine stays stateless about
+        # the per-replica timeline.
         self.queue = RequestQueue()
         self.free = 0.0
         self.batches = 0
@@ -370,8 +370,7 @@ class Replica:
         """Serve one micro-batch; returns one result per member request.
 
         The per-batch RNG stream is keyed by ``(seed, batch_index)`` only —
-        not the replica id — which keeps a one-replica fleet bit-identical
-        to the pre-fleet engine.  In exact mode the logits do not consume
+        not the replica id.  In exact mode the logits do not consume
         randomness at all, so replicas sharing a stream cannot correlate.
         """
         targets = np.unique(np.concatenate([r.vertices for r in batch]))

@@ -1,18 +1,16 @@
-"""Request routing policies for the serving fleet.
+"""Request routing policies for the serving engine's replicas.
 
 A :class:`Router` decides which replica serves each incoming request.  The
 contract is deliberately small — ``rebalance(live)`` whenever the set of
 live replica ids changes (startup, autoscaler steps) and
 ``route(request) -> rid`` per request — and deliberately deterministic:
 policies may keep internal state (the round-robin cursor, the hash ring)
-but never consult wall time or unseeded randomness, so a fleet run is
+but never consult wall time or unseeded randomness, so a serving run is
 exactly reproducible.
 
 Three built-in policies:
 
-* ``direct`` — everything to the lowest-id live replica.  The degenerate
-  policy that makes an N=1 fleet bit-identical to the single-server
-  :class:`~repro.serve.engine.ServingEngine`.
+* ``direct`` — everything to the lowest-id live replica (the default).
 * ``round_robin`` — cycle through live replicas in id order.  Best load
   spread, worst cache locality: a hot vertex's penultimate-layer row ends
   up cached on *every* replica.
@@ -67,7 +65,7 @@ class Router(Protocol):
 
 
 class DirectRouter:
-    """Everything to the lowest-id live replica (the N=1 identity policy)."""
+    """Everything to the lowest-id live replica (the default policy)."""
 
     name = "direct"
 

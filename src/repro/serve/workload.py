@@ -32,7 +32,7 @@ class TraceWorkload:
     """Open-loop workload: requests arrive per the trace, come what may."""
 
     #: Open-loop workloads submit everything up front and never react to
-    #: completions — the property that lets the parallel fleet run each
+    #: completions — the property that lets parallel serving run each
     #: replica's timeline in its own process (:mod:`repro.parallel.fleet`).
     open_loop = True
 
@@ -79,7 +79,7 @@ class ClosedLoopWorkload:
     """Closed-loop load generator: one outstanding request per client."""
 
     #: Closed-loop clients issue requests from completions, coupling the
-    #: fleet's replica timelines — the parallel fleet path refuses this.
+    #: replica timelines — the parallel serving path refuses this.
     open_loop = False
 
     def __init__(
@@ -140,11 +140,13 @@ def load_trace(path: str | Path) -> TraceWorkload:
         raise ValueError(f"trace {path} holds no requests")
     requests = []
     for i, entry in enumerate(data):
+        if "arrival" not in entry:
+            raise ValueError(f"trace {path} entry {i} has no \"arrival\" time")
         requests.append(
             InferenceRequest(
                 rid=int(entry.get("rid", i)),
                 vertices=np.asarray(entry["vertices"], dtype=np.int64),
-                arrival=float(entry.get("arrival", 0.0)),
+                arrival=float(entry["arrival"]),
             )
         )
     return TraceWorkload(requests)

@@ -1,6 +1,6 @@
-"""The serving fleet: routers, admission control, the multi-replica
-cluster loop, SLO autoscaling, and update broadcast — plus the pinned
-single-server digest the refactor must keep bit-identical."""
+"""Multi-replica serving: routers, admission control, the engine's
+replica loop, SLO autoscaling, and update broadcast — plus the pinned
+single-server digest every replica count must keep bit-identical."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from repro.serve import (
     InferenceRequest,
     Replica,
     RoundRobinRouter,
-    ServingCluster,
     ServingEngine,
     TraceWorkload,
     make_router,
@@ -45,8 +44,8 @@ def reference_logits(trained_engine) -> np.ndarray:
     return layerwise_inference(trained_engine.model, trained_engine.graph)
 
 
-def _cluster(engine: Engine, **overrides) -> ServingCluster:
-    return ServingCluster(
+def _server(engine: Engine, **overrides) -> ServingEngine:
+    return ServingEngine(
         engine.model, engine.graph, engine.config.replace(**overrides)
     )
 
@@ -64,9 +63,9 @@ def _request(rid: int, vertex: int, arrival: float = 0.0) -> InferenceRequest:
 
 
 # Digest of the 20-request / seed-5 synthetic trace under the module
-# fixture config, pinned before the Replica/Router/Cluster split.  Both
-# the single-server engine and an N=1 direct fleet must reproduce it
-# bit-identically — the refactor moves code, never floats.
+# fixture config, pinned before serving was split into replicas.  Every
+# replica count and router must reproduce it bit-identically — refactors
+# move code, never floats.
 GOLDEN_SERVE_DIGEST = (
     "f066470bfc98efbcce4a88da5bfaceef55d0349aa87a97dd9a990d20808dfc51"
 )
@@ -232,7 +231,7 @@ class TestFleetExactness:
         assert report.digest() == GOLDEN_SERVE_DIGEST
 
     def test_one_replica_fleet_bit_identical_to_engine(self, trained_engine):
-        report = _cluster(trained_engine).process(_trace(trained_engine))
+        report = _server(trained_engine).process(_trace(trained_engine))
         assert report.digest() == GOLDEN_SERVE_DIGEST
 
     @pytest.mark.parametrize(
@@ -250,27 +249,27 @@ class TestFleetExactness:
     ):
         """Exact serving means routing and replica count move latency,
         never bits."""
-        cluster = _cluster(
+        server = _server(
             trained_engine,
             replicas=replicas, router=router, embed_budget=budget,
         )
-        report = cluster.process(_trace(trained_engine))
+        report = server.process(_trace(trained_engine))
         assert report.digest() == GOLDEN_SERVE_DIGEST
 
     def test_one_shot_serve_matches_layerwise(
         self, trained_engine, reference_logits
     ):
         verts = trained_engine.graph.test_idx[:5]
-        cluster = _cluster(trained_engine, replicas=3, router="round_robin")
+        server = _server(trained_engine, replicas=3, router="round_robin")
         assert np.array_equal(
-            cluster.serve(verts), reference_logits[verts]
+            server.serve(verts), reference_logits[verts]
         )
 
     def test_results_bit_identical_per_request(
         self, trained_engine, reference_logits
     ):
-        cluster = _cluster(trained_engine, replicas=4, router="consistent_hash")
-        report = cluster.process(_trace(trained_engine))
+        server = _server(trained_engine, replicas=4, router="consistent_hash")
+        report = server.process(_trace(trained_engine))
         for r in report.results:
             assert np.array_equal(
                 r.logits, reference_logits[r.request.vertices]
@@ -288,18 +287,18 @@ class TestFleetDynamics:
         one server, a routed fleet strictly wins."""
         rates = {}
         for n in (1, 4):
-            cluster = _cluster(
+            server = _server(
                 trained_engine, replicas=n, router="round_robin"
             )
             wl = ClosedLoopWorkload(
                 96, trained_engine.graph.test_idx, clients=48, seed=2
             )
-            rates[n] = cluster.process(wl).throughput
+            rates[n] = server.process(wl).throughput
         assert rates[4] > rates[1]
 
     def test_round_robin_spreads_work_across_replicas(self, trained_engine):
-        cluster = _cluster(trained_engine, replicas=2, router="round_robin")
-        report = cluster.process(_trace(trained_engine))
+        server = _server(trained_engine, replicas=2, router="round_robin")
+        report = server.process(_trace(trained_engine))
         assert sorted(report.per_replica) == [0, 1]
         assert all(count > 0 for count in report.per_replica.values())
         assert sum(report.per_replica.values()) == report.n_requests
@@ -312,19 +311,19 @@ class TestFleetDynamics:
         pool = trained_engine.graph.test_idx[:8]
         hit_rates = {}
         for router in ("round_robin", "consistent_hash"):
-            cluster = _cluster(
+            server = _server(
                 trained_engine,
                 replicas=4, router=router, embed_budget=65536.0,
             )
             wl = TraceWorkload.synthetic(
                 64, pool, seed=7, interarrival=5e-5
             )
-            hit_rates[router] = cluster.process(wl).cache_stats.hit_rate
+            hit_rates[router] = server.process(wl).cache_stats.hit_rate
         assert hit_rates["consistent_hash"] > hit_rates["round_robin"]
 
     def test_report_merges_phase_seconds_across_replicas(self, trained_engine):
-        cluster = _cluster(trained_engine, replicas=3, router="round_robin")
-        report = cluster.process(_trace(trained_engine))
+        server = _server(trained_engine, replicas=3, router="round_robin")
+        report = server.process(_trace(trained_engine))
         assert report.phase_seconds["sampling"] > 0
         assert report.phase_seconds["propagation"] > 0
         # No shedding configured: the report says so.
@@ -345,10 +344,10 @@ def _burst(engine: Engine, n=32) -> TraceWorkload:
 
 class TestShedding:
     def test_queue_policy_sheds_the_burst_overflow(self, trained_engine):
-        cluster = _cluster(
+        server = _server(
             trained_engine, shed_policy="queue", shed_queue_depth=4
         )
-        report = cluster.process(_burst(trained_engine))
+        report = server.process(_burst(trained_engine))
         assert report.shed > 0
         # Every request was either served or shed — none lost.
         assert report.n_requests + report.shed == 32
@@ -356,20 +355,20 @@ class TestShedding:
 
     def test_deadline_policy_bounds_queue_wait(self, trained_engine):
         deadline = 2e-4
-        cluster = _cluster(
+        server = _server(
             trained_engine, shed_policy="deadline", shed_deadline=deadline
         )
-        report = cluster.process(_burst(trained_engine))
+        report = server.process(_burst(trained_engine))
         assert report.shed > 0
         assert report.n_requests + report.shed == 32
         # The surviving requests are exactly the ones served in time.
         assert all(r.queue_wait <= deadline + 1e-12 for r in report.results)
 
     def test_no_shedding_under_light_load(self, trained_engine):
-        cluster = _cluster(
+        server = _server(
             trained_engine, shed_policy="queue", shed_queue_depth=64
         )
-        report = cluster.process(_trace(trained_engine))
+        report = server.process(_trace(trained_engine))
         assert report.shed == 0 and report.n_requests == 20
 
 
@@ -378,7 +377,7 @@ class TestShedding:
 # ---------------------------------------------------------------------- #
 class TestAutoscaling:
     def test_scales_up_under_slo_violating_load(self, trained_engine):
-        cluster = _cluster(
+        server = _server(
             trained_engine,
             replicas=1, router="round_robin", slo_p99=2e-4,
             autoscale_max=4, autoscale_interval=5e-4,
@@ -386,7 +385,7 @@ class TestAutoscaling:
         wl = ClosedLoopWorkload(
             128, trained_engine.graph.test_idx, clients=32, seed=3
         )
-        report = cluster.process(wl)
+        report = server.process(wl)
         counts = [n for _, n in report.replica_trace]
         assert counts[0] == 1
         assert counts[-1] > 1  # the violated SLO forced the fleet up
@@ -394,12 +393,12 @@ class TestAutoscaling:
         assert report.n_requests == 128  # nothing lost while scaling
 
     def test_scales_down_when_slo_trivially_met(self, trained_engine):
-        cluster = _cluster(
+        server = _server(
             trained_engine,
             replicas=3, router="round_robin", slo_p99=1.0,
             autoscale_min=1, autoscale_max=4, autoscale_interval=5e-4,
         )
-        report = cluster.process(
+        report = server.process(
             _trace(trained_engine, n=40, seed=9, interarrival=2e-4)
         )
         counts = [n for _, n in report.replica_trace]
@@ -410,51 +409,51 @@ class TestAutoscaling:
         assert report.n_requests == 40
 
     def test_retired_replicas_still_counted_in_report(self, trained_engine):
-        cluster = _cluster(
+        server = _server(
             trained_engine,
             replicas=3, router="round_robin", slo_p99=1.0,
             autoscale_min=1, autoscale_interval=5e-4,
         )
-        report = cluster.process(
+        report = server.process(
             _trace(trained_engine, n=40, seed=9, interarrival=2e-4)
         )
-        assert cluster.retired  # somebody was retired...
-        assert len(cluster.replicas) == 1
+        assert server.retired  # somebody was retired...
+        assert len(server.replicas) == 1
         # ...but the per-replica accounting still covers the whole run.
         assert sum(report.per_replica.values()) == report.n_requests
 
     def test_autoscaled_run_stays_exact(self, trained_engine, reference_logits):
-        cluster = _cluster(
+        server = _server(
             trained_engine,
             replicas=1, router="round_robin", slo_p99=2e-4,
             autoscale_max=4, autoscale_interval=5e-4,
         )
-        report = cluster.process(_trace(trained_engine, n=30, interarrival=5e-5))
+        report = server.process(_trace(trained_engine, n=30, interarrival=5e-5))
         for r in report.results:
             assert np.array_equal(
                 r.logits, reference_logits[r.request.vertices]
             )
 
     def test_initial_count_below_minimum_rejected(self, trained_engine):
-        cluster = _cluster(
+        server = _server(
             trained_engine,
             replicas=2, router="round_robin", slo_p99=1.0,
             autoscale_min=3, autoscale_max=4,
         )
         with pytest.raises(ValueError, match="below the autoscaler minimum"):
-            cluster.process(_trace(trained_engine, n=4))
+            server.process(_trace(trained_engine, n=4))
 
 
 # ---------------------------------------------------------------------- #
 # Streaming updates broadcast to the fleet
 # ---------------------------------------------------------------------- #
-def _streaming_cluster(engine: Engine, **overrides) -> ServingCluster:
+def _streaming_server(engine: Engine, **overrides) -> ServingEngine:
     graph = copy.copy(engine.graph)
     cfg = engine.config.replace(
         stream_updates=True, serve_batch_size=8, **overrides
     )
     stream = StreamingGraph(graph, compaction_threshold=0.25)
-    return ServingCluster(engine.model, graph, cfg, stream=stream)
+    return ServingEngine(engine.model, graph, cfg, stream=stream)
 
 
 def _churn(engine: Engine, n=32) -> UpdateStream:
@@ -466,40 +465,40 @@ def _churn(engine: Engine, n=32) -> UpdateStream:
 
 class TestFleetUpdates:
     def test_one_replica_fleet_reproduces_stream_digest(self, trained_engine):
-        """The cluster's update interleaving matches the single engine's —
+        """The engine's update interleaving at one replica is unchanged —
         pinned by the same streaming golden digest test_stream.py pins."""
         from test_stream import GOLDEN_STREAM_DIGEST
 
-        cluster = _streaming_cluster(trained_engine)
-        report = cluster.process(_churn(trained_engine))
+        server = _streaming_server(trained_engine)
+        report = server.process(_churn(trained_engine))
         assert report.digest() == GOLDEN_STREAM_DIGEST
 
     def test_broadcast_invalidates_every_replica(self, trained_engine):
-        cluster = _streaming_cluster(
+        server = _streaming_server(
             trained_engine,
             replicas=2, router="round_robin", embed_budget=65536.0,
         )
-        report = cluster.process(_churn(trained_engine))
+        report = server.process(_churn(trained_engine))
         # Each replica invalidated rows out of its *own* cache; churn is
         # counted as invalidations, never conflated with LFU evictions.
-        for rep in cluster.replicas:
+        for rep in server.replicas:
             assert rep.stats.invalidations > 0
         assert report.cache_stats.invalidations == sum(
-            rep.stats.invalidations for rep in cluster.replicas
+            rep.stats.invalidations for rep in server.replicas
         )
         assert report.update_stats is not None
         assert report.update_stats.batches == 16
 
     def test_post_churn_fleet_serves_updated_graph(self, trained_engine):
-        cluster = _streaming_cluster(
+        server = _streaming_server(
             trained_engine,
             replicas=2, router="round_robin", embed_budget=65536.0,
         )
-        cluster.process(_churn(trained_engine))
+        server.process(_churn(trained_engine))
         verts = trained_engine.graph.test_idx[:48]
-        rebuilt = cluster.stream.rebuild_from_scratch()
+        rebuilt = server.stream.rebuild_from_scratch()
         reference = layerwise_inference(trained_engine.model, rebuilt)
-        assert np.array_equal(cluster.serve(verts), reference[verts])
+        assert np.array_equal(server.serve(verts), reference[verts])
 
     def test_absorb_update_clears_prob_cache(self, trained_engine):
         """Satellite: ProbCache / EmbeddingCache interplay on one replica.
@@ -529,9 +528,9 @@ class TestFleetUpdates:
         assert rep.stats.evictions == 0  # churn is not budget pressure
 
     def test_frozen_fleet_rejects_update_workloads(self, trained_engine):
-        cluster = _cluster(trained_engine, replicas=2, router="round_robin")
+        server = _server(trained_engine, replicas=2, router="round_robin")
         with pytest.raises(ValueError, match="frozen graph"):
-            cluster.process(_churn(trained_engine))
+            server.process(_churn(trained_engine))
 
 
 # ---------------------------------------------------------------------- #
@@ -567,7 +566,8 @@ class TestFleetWiring:
         assert again == cfg
 
     def test_engine_serving_picks_the_fleet(self, trained_engine):
-        assert isinstance(trained_engine.serving(), ServingEngine)
+        server = trained_engine.serving()
+        assert len(server.replicas) == 1 and server.autoscaler is None
         for overrides in (
             {"replicas": 2},
             {"router": "round_robin"},
@@ -579,12 +579,14 @@ class TestFleetWiring:
                 graph=trained_engine.graph,
             )
             engine._pipeline = trained_engine.pipeline
-            assert isinstance(engine.serving(), ServingCluster)
-
-    def test_engine_serving_fleet_flag_overrides(self, trained_engine):
-        assert isinstance(
-            trained_engine.serving(fleet=True), ServingCluster
-        )
+            server = engine.serving()
+            assert isinstance(server, ServingEngine)
+            assert len(server.replicas) == engine.config.replicas
+            assert server.router.name == engine.config.router
+            assert server.admission.policy == engine.config.shed_policy
+            assert (server.autoscaler is not None) == (
+                engine.config.slo_p99 > 0
+            )
 
     def test_cli_serve_fleet_smoke(self, capsys):
         from repro.cli import main

@@ -1,5 +1,5 @@
 """The parallel serving fleet (``workers > 0``): each replica's timeline
-in its own worker process must reproduce the serial cluster loop bit for
+in its own worker process must reproduce the serial engine loop bit for
 bit — digests, batch counts, clocks, shed decisions, churn — and refuse
 loudly whenever the per-replica decomposition would change semantics."""
 
@@ -12,7 +12,8 @@ import pytest
 
 from repro.api import Engine, RunConfig
 from repro.parallel import parallel_support_error
-from repro.serve import ClosedLoopWorkload, ServingCluster, TraceWorkload
+from repro.pipeline import layerwise_inference
+from repro.serve import ClosedLoopWorkload, ServingEngine, TraceWorkload
 from repro.stream import StreamingGraph, UpdateStream
 
 pytestmark = pytest.mark.skipif(
@@ -33,7 +34,7 @@ def trained_engine() -> Engine:
     return engine
 
 
-def _run(
+def _served(
     engine: Engine,
     *,
     workers: int,
@@ -43,7 +44,8 @@ def _run(
     **overrides,
 ):
     """One fleet run over a fresh graph copy (stream runs rebind ``adj``,
-    so churn must stay run-local — same trick as bench_streaming)."""
+    so churn must stay run-local — same trick as bench_streaming).
+    Returns the server and its report."""
     cfg = engine.config.replace(
         replicas=replicas, router="round_robin", workers=workers,
         stream_updates=stream, serve_batch_size=4, **overrides,
@@ -53,7 +55,7 @@ def _run(
         StreamingGraph(graph, compaction_threshold=cfg.compaction_threshold)
         if stream else None
     )
-    cluster = ServingCluster(engine.model, graph, cfg, stream=streaming)
+    server = ServingEngine(engine.model, graph, cfg, stream=streaming)
     if stream:
         workload = UpdateStream.synthetic(
             graph.adj, engine.graph.test_idx, n_requests=n_requests,
@@ -63,7 +65,11 @@ def _run(
         workload = TraceWorkload.synthetic(
             n_requests, engine.graph.test_idx, seed=0, interarrival=1e-4,
         )
-    return cluster.process(workload)
+    return server, server.process(workload)
+
+
+def _run(engine: Engine, **kwargs):
+    return _served(engine, **kwargs)[1]
 
 
 def _assert_reports_identical(serial, parallel) -> None:
@@ -110,6 +116,17 @@ class TestFleetParity:
         assert serial.update_stats is not None
         assert vars(parallel.update_stats) == vars(serial.update_stats)
 
+    def test_post_churn_serve_matches_rebuild(self, trained_engine):
+        """The workers absorb the churn on private copies; afterwards the
+        parent's own replicas must still serve the final graph exactly."""
+        server, _ = _served(
+            trained_engine, workers=2, stream=True, n_requests=48
+        )
+        verts = trained_engine.graph.test_idx
+        rebuilt = server.stream.rebuild_from_scratch()
+        reference = layerwise_inference(trained_engine.model, rebuilt)
+        assert np.array_equal(server.serve(verts), reference[verts])
+
     def test_shedding_parity(self, trained_engine):
         """Deadline shedding decisions are per-replica and must replay
         identically in the workers."""
@@ -134,64 +151,65 @@ class TestFleetValidation:
         cfg = trained_engine.config.replace(
             replicas=2, router="round_robin", workers=2,
         )
-        cluster = ServingCluster(
+        server = ServingEngine(
             trained_engine.model, trained_engine.graph, cfg
         )
         workload = ClosedLoopWorkload(
             8, trained_engine.graph.test_idx, clients=2
         )
         with pytest.raises(ValueError, match="open-loop"):
-            cluster.process(workload)
+            server.process(workload)
 
     def test_autoscaler_rejected(self, trained_engine):
         cfg = trained_engine.config.replace(
             replicas=2, router="round_robin", workers=2, slo_p99=0.5,
         )
-        cluster = ServingCluster(
+        server = ServingEngine(
             trained_engine.model, trained_engine.graph, cfg
         )
         workload = TraceWorkload.synthetic(
             8, trained_engine.graph.test_idx, seed=0
         )
         with pytest.raises(ValueError, match="autoscal"):
-            cluster.process(workload)
+            server.process(workload)
 
     def test_sampled_serving_rejected(self, trained_engine):
         cfg = trained_engine.config.replace(
             replicas=2, router="round_robin", workers=2,
         )
-        cluster = ServingCluster(
+        server = ServingEngine(
             trained_engine.model, trained_engine.graph, cfg, fanout=(4, 3)
         )
         workload = TraceWorkload.synthetic(
             8, trained_engine.graph.test_idx, seed=0
         )
         with pytest.raises(ValueError, match="exact serving"):
-            cluster.process(workload)
+            server.process(workload)
 
     def test_error_messages_name_the_fix(self, trained_engine):
         """Every refusal points at the serial path."""
         cfg = trained_engine.config.replace(
             replicas=2, router="round_robin", workers=2, slo_p99=0.5,
         )
-        cluster = ServingCluster(
+        server = ServingEngine(
             trained_engine.model, trained_engine.graph, cfg
         )
         workload = TraceWorkload.synthetic(
             8, trained_engine.graph.test_idx, seed=0
         )
         with pytest.raises(ValueError, match="workers=0"):
-            cluster.process(workload)
+            server.process(workload)
 
 
 class TestEngineIntegration:
     def test_engine_serving_autodetects_fleet_on_workers(self, trained_engine):
-        """cfg.workers > 0 alone promotes serving() to a cluster."""
+        """serving() hands cfg.workers to the engine's parallel path."""
         engine = Engine(
             trained_engine.config.replace(workers=2, replicas=1)
         )
         server = engine.serving()
-        assert isinstance(server, ServingCluster)
+        assert isinstance(server, ServingEngine)
+        assert server.config.workers == 2
 
     def test_engine_close_is_idempotent_and_safe_untrained(self):
         cfg = RunConfig(

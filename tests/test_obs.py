@@ -32,7 +32,7 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.parallel import parallel_support_error
-from repro.serve import ServingCluster, TraceWorkload
+from repro.serve import ServingEngine, TraceWorkload
 
 needs_parallel = pytest.mark.skipif(
     parallel_support_error() is not None,
@@ -336,11 +336,11 @@ def _serve(engine: Engine, *, workers: int = 0, replicas: int = 3,
         serve_batch_size=4,
     )
     graph = copy.copy(engine.graph)
-    cluster = ServingCluster(engine.model, graph, cfg)
+    server = ServingEngine(engine.model, graph, cfg)
     workload = TraceWorkload.synthetic(
         n_requests, engine.graph.test_idx, seed=0, interarrival=1e-4,
     )
-    return cluster.process(workload)
+    return server.process(workload)
 
 
 def _bulk_digest(samples) -> str:

@@ -54,6 +54,11 @@ class TestRequestTypes:
         with pytest.raises(ValueError):
             InferenceRequest(rid=0, vertices=np.array([[1, 2]]))
 
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf")])
+    def test_non_finite_arrival_rejected(self, arrival):
+        with pytest.raises(ValueError, match="finite"):
+            InferenceRequest(rid=0, vertices=np.array([1]), arrival=arrival)
+
     def test_vertices_coerced_to_int64(self):
         req = InferenceRequest(rid=0, vertices=np.array([3.0, 1.0]))
         assert req.vertices.dtype == np.int64
@@ -223,6 +228,12 @@ class TestWorkloads:
         path = tmp_path / "bad.json"
         path.write_text("[]")
         with pytest.raises(ValueError):
+            load_trace(path)
+
+    def test_load_trace_rejects_missing_arrival(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('[{"arrival": 0.0, "vertices": [1]}, {"vertices": [2]}]')
+        with pytest.raises(ValueError, match="entry 1"):
             load_trace(path)
 
     def test_synthetic_trace_deterministic(self):

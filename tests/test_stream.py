@@ -464,6 +464,8 @@ def _streaming_server(
     embed_budget: float = 0.0,
     compaction_threshold: float = 0.25,
     serve_batch_size: int = 8,
+    replicas: int = 1,
+    server_cls: type = ServingEngine,
 ):
     """A fresh streaming server over a point-local graph copy (array
     payloads shared; churn must not leak into the module fixture)."""
@@ -473,9 +475,10 @@ def _streaming_server(
         embed_budget=embed_budget,
         compaction_threshold=compaction_threshold,
         stream_updates=True,
+        replicas=replicas,
     )
     stream = StreamingGraph(graph, compaction_threshold=compaction_threshold)
-    return ServingEngine(engine.model, graph, cfg, stream=stream)
+    return server_cls(engine.model, graph, cfg, stream=stream)
 
 
 def _churn_workload(engine: Engine, *, n_requests=32, update_ratio=0.5,
@@ -528,7 +531,7 @@ class TestStreamingServing:
     def test_updates_invalidate_cached_embeddings(self, trained_engine):
         server = _streaming_server(trained_engine, embed_budget=65536.0)
         report = server.process(_churn_workload(trained_engine))
-        assert server.cache is not None
+        assert server.replicas[0].cache is not None
         assert report.cache_stats.invalidations > 0
         assert report.update_stats.batches == 16
         assert "update_batches" in report.row()
@@ -587,6 +590,46 @@ class TestStreamingServing:
             RunConfig(compaction_threshold=0.0)
         cfg = RunConfig(stream_updates=True, compaction_threshold=0.1)
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+
+class _RecordingServer(ServingEngine):
+    """Records every edge batch the serving loop hands to ``apply_update``
+    (the one hook a subclass overrides to observe or time updates)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.applied: list[EdgeBatch] = []
+
+    def apply_update(self, batch, at=None):
+        self.applied.append(batch)
+        return super().apply_update(batch, at=at)
+
+
+class TestUpdateHook:
+    def test_hooks_are_defined_on_the_engine_itself(self):
+        # Instrumentation wraps these two methods by looking them up in the
+        # class dict, so neither may move to a base class or helper.
+        assert "process" in ServingEngine.__dict__
+        assert "apply_update" in ServingEngine.__dict__
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_every_update_goes_through_apply_update(
+        self, trained_engine, replicas
+    ):
+        server = _streaming_server(
+            trained_engine, replicas=replicas, server_cls=_RecordingServer
+        )
+        workload = _churn_workload(trained_engine)
+        report = server.process(workload)
+        assert len(server.applied) == len(workload.updates()) == 16
+        assert all(
+            seen is batch
+            for seen, batch in zip(server.applied, workload.updates())
+        )
+        # The direct router keeps every request on replica 0; the second
+        # replica only absorbs the updates, so the bits do not move.
+        assert report.digest() == GOLDEN_STREAM_DIGEST
+        assert report.update_stats.batches == 16
 
 
 class TestStreamCLI:
