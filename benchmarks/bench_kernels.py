@@ -207,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
                         "fanout 64, 2 repeats")
     parser.add_argument("--gate", action="store_true",
                         help="pinned regression-gate profile: smoke sizes, "
-                        "compiled vs esc, artifact BENCH_kernels_gate.json "
+                        "hash vs esc, artifact BENCH_kernels_gate.json "
                         "carrying an env fingerprint (wall-clock numbers "
                         "are machine-specific; the gate compares the "
                         "speedup ratios)")
@@ -216,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
                         "BENCH_kernels.json); 'none' disables")
     args = parser.parse_args(argv)
     if args.gate:
-        args.kernel, args.baseline, args.smoke = "compiled", "esc", True
+        args.kernel, args.baseline, args.smoke = "hash", "esc", True
     if args.smoke:
         args.log_n, args.batches = 11, 4
         args.batch_size, args.fanout, args.repeats = 128, 64, 2

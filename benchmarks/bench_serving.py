@@ -54,12 +54,10 @@ def run_point(
     serve_batch_size: int,
     embed_budget: float,
     seed: int,
-    kernel: str | None = None,
 ):
     """One sweep point: a fresh server (fresh cache) over a fresh workload."""
     cfg = engine.config.replace(
         serve_batch_size=serve_batch_size, embed_budget=embed_budget,
-        kernel=kernel if kernel is not None else engine.config.kernel,
     )
     server = ServingEngine(engine.model, engine.graph, cfg)
     workload = ClosedLoopWorkload(
@@ -258,9 +256,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--requests", type=int, default=96,
                         help="requests per sweep point")
     parser.add_argument("--embed-budget", type=float, default=65536.0)
-    parser.add_argument("--kernel", default="compiled",
+    parser.add_argument("--kernel", default=RunConfig.kernel,
                         help="sparse-kernel backend the server samples "
-                        "with (default 'compiled': the plan compiler)")
+                        f"with (default {RunConfig.kernel!r})")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--smoke", action="store_true",
                         help="tiny sweep for CI (fewer points and requests)")
@@ -393,42 +391,13 @@ def main(argv: list[str] | None = None) -> int:
                 f"per-request {throughput[(clients, 1)]:.0f} req/s"
             )
 
-    # Kernel headline: the peak micro-batched point re-served through the
-    # plain hash interpreter.  The compiled path must return bit-identical
-    # logits while simulating fewer kernel launches (fused steps + the
-    # ProbCache), i.e. strictly higher serving throughput.
     peak = max(int(x) for x in args.clients.split(","))
-    kernel_speedup = None
-    if args.kernel != "hash":
-        hash_report = run_point(
-            engine, clients=peak, n_requests=args.requests,
-            serve_batch_size=8, embed_budget=args.embed_budget,
-            seed=args.seed, kernel="hash",
-        )
-        if any(
-            not np.array_equal(r.logits, reference[r.request.vertices])
-            for r in hash_report.results
-        ):
-            failures.append(
-                "hash-kernel serving logits not bit-identical to "
-                "layerwise_inference"
-            )
-        kernel_speedup = throughput[(peak, 8)] / hash_report.throughput
-        if kernel_speedup <= 1.0:
-            failures.append(
-                f"kernel {args.kernel!r} served no faster than hash "
-                f"({kernel_speedup:.3f}x at clients={peak})"
-            )
-
     print(format_table(
         rows,
         title=f"serving sweep: {args.dataset} scale={args.scale} "
         f"fanout={args.fanout} requests/point={args.requests} "
         f"kernel={args.kernel}",
     ))
-    if kernel_speedup is not None:
-        print(f"serving speedup vs hash interpreter at clients={peak}: "
-              f"{kernel_speedup:.2f}x")
 
     fleet_rows: list[dict] = []
     fleet_metrics: dict[str, float] = {}
@@ -461,8 +430,6 @@ def main(argv: list[str] | None = None) -> int:
             "microbatch_speedup": throughput[(peak, 8)]
             / throughput[(peak, 1)],
         }
-        if kernel_speedup is not None:
-            metrics["kernel_speedup_vs_hash"] = kernel_speedup
         path = write_bench_artifact(
             "serving_gate" if args.gate else "serving",
             params={

@@ -13,10 +13,6 @@ from .bulk import (
     stack_batches,
 )
 from .compile import (
-    CompiledLocalExecutor,
-    FusedProbNormStep,
-    FusedSampleExtractStep,
-    ProbCache,
     eliminate_dead_steps,
     fuse_prob_norm,
     fuse_sample_extract,
@@ -28,6 +24,8 @@ from .its import gumbel_topk_rows, its_flops, its_sample_rows
 from .ladies_sampler import LadiesSampler
 from .plan import (
     ExtractStep,
+    FusedProbNormStep,
+    FusedSampleExtractStep,
     LocalExecutor,
     NormStep,
     ProbStep,
@@ -55,10 +53,8 @@ __all__ = [
     "ExtractStep",
     "step_phase",
     "LocalExecutor",
-    "CompiledLocalExecutor",
     "FusedProbNormStep",
     "FusedSampleExtractStep",
-    "ProbCache",
     "eliminate_dead_steps",
     "fuse_prob_norm",
     "fuse_sample_extract",

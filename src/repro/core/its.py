@@ -17,6 +17,14 @@ the same kernel launches).
 :func:`gumbel_topk_rows` offers an equivalent single-pass alternative
 (exponential races / Gumbel top-k), used in tests as a statistical
 cross-check and available as an optional sampler backend.
+
+The executors never build the sampled ``Q^{l-1}`` as a whole: SAMPLE keeps
+its selection as a boolean mask over ``P``'s nonzeros
+(:func:`its_select_mask`, :func:`gumbel_select_mask`) and EXTRACT reads
+the selected entries through the mask readers :func:`mask_row_counts`,
+:func:`selected_row_cols` and :func:`sampled_rows_from_mask`.
+:func:`its_sample_rows` and :func:`gumbel_topk_rows` keep their own CSR
+build and serve as the reference the mask path is tested against.
 """
 
 from __future__ import annotations
@@ -31,6 +39,9 @@ __all__ = [
     "gumbel_topk_rows",
     "gumbel_select_mask",
     "its_flops",
+    "mask_row_counts",
+    "selected_row_cols",
+    "sampled_rows_from_mask",
 ]
 
 _MAX_ROUNDS = 256  # termination backstop; each round makes progress
@@ -48,9 +59,8 @@ def its_select_mask(
     Draws exactly the same uniforms in the same order as
     :func:`its_sample_rows` (which is this function plus a CSR build), so
     the two are interchangeable under a fixed seed.  The mask form is what
-    the fused SAMPLE+EXTRACT kernels consume — extraction reads the
-    selected entries straight out of ``p`` without materializing the
-    intermediate ``Q^{l-1}`` CSR.
+    the executors' EXTRACT steps read — the selected entries come straight
+    out of ``p`` without materializing the intermediate ``Q^{l-1}`` CSR.
 
     An empty ``p`` consumes no randomness and returns an empty mask.
     """
@@ -175,6 +185,38 @@ def gumbel_topk_rows(
     the ``s`` largest keys per row win.
     """
     return _mask_to_csr(p, gumbel_select_mask(p, s, rng))
+
+
+def mask_row_counts(p: CSRMatrix, sel: np.ndarray) -> np.ndarray:
+    """Selected entries per row of ``p`` (== ``q_next.nnz_per_row()``)."""
+    if sel.size == 0:
+        return np.zeros(p.shape[0], dtype=np.int64)
+    return np.bincount(p.row_ids()[sel], minlength=p.shape[0])
+
+
+def selected_row_cols(p: CSRMatrix, sel: np.ndarray, i: int) -> np.ndarray:
+    """Selected columns of row ``i`` (== ``q_next.row(i)[0]``)."""
+    lo, hi = int(p.indptr[i]), int(p.indptr[i + 1])
+    return p.indices[lo:hi][sel[lo:hi]]
+
+
+def sampled_rows_from_mask(
+    p: CSRMatrix, sel: np.ndarray, lo: int, hi: int
+) -> CSRMatrix:
+    """Rows ``[lo, hi)`` of the sampled ``Q^{l-1}`` (binary, ``p``'s
+    column order) built from the selection mask over ``p``'s nonzeros."""
+    a, b = int(p.indptr[lo]), int(p.indptr[hi])
+    block_sel = sel[a:b]
+    cols = p.indices[a:b][block_sel]
+    local_rows = np.repeat(
+        np.arange(hi - lo, dtype=np.int64), np.diff(p.indptr[lo : hi + 1])
+    )[block_sel]
+    indptr = np.zeros(hi - lo + 1, dtype=np.int64)
+    np.cumsum(np.bincount(local_rows, minlength=hi - lo), out=indptr[1:])
+    return CSRMatrix(
+        indptr, cols, np.ones(cols.size, dtype=np.float64),
+        (hi - lo, p.shape[1]),
+    )
 
 
 def its_flops(p: CSRMatrix, s: int) -> int:

@@ -1,18 +1,26 @@
-"""The sampling-plan IR: Algorithm 1 as *data*, interpreted by executors.
+"""The sampling-plan IR: Algorithm 1 as *data*, run by one executor per grid.
 
 The paper's central claim is that LADIES, FastGCN, GraphSAGE (and, with one
 extra step kind, GraphSAINT) are the *same* matrix program — PROB (an
 SpGEMM), NORM, SAMPLE (inverse transform sampling), EXTRACT — differing
 only in how each step is parameterized.  This module makes that claim
 operational: a :class:`MatrixSampler` *emits* a declarative
-:class:`SamplingPlan` built from four step types, and an executor
-*interprets* it.  Two executors interpret identical plans:
+:class:`SamplingPlan` built from four step types, the optimizer
+(:func:`repro.core.compile.optimize`) rewrites it, and an executor runs
+it.  There is one executor per grid:
 
 * :class:`LocalExecutor` (here) — one device, serial SpGEMMs; the loop of
   Algorithm 1.
 * :class:`~repro.distributed.partitioned.PartitionedExecutor` — the same
   program over the 1.5D ``p/c x c`` grid of Algorithm 2, with PROB and the
   row-extraction half of EXTRACT running as distributed SpGEMMs.
+
+Each executor runs every step type, plain or fused, through one
+``_dispatch``, so ``run(plan)`` and ``run(optimize(plan))`` give the same
+samples (pinned by ``tests/test_compile_differential.py``).  SAMPLE never
+builds the sampled ``Q^{l-1}`` as a CSR: it keeps the selection as a
+boolean mask over ``P``'s nonzeros, and EXTRACT reads the selected
+entries straight out of ``P``.
 
 Because distribution is a property of the *executor* rather than of the
 sampler, any sampler that emits a plan — including registry plugins — runs
@@ -38,6 +46,10 @@ Step vocabulary (paper mapping)
     column extraction, section 4.2.4), ``"walk"`` (advance random-walk
     positions — GraphSAINT's inner step), or ``"subgraph"`` (induce ``A``
     on the visited set and emit all layers — GraphSAINT's EXTRACT).
+``FusedProbNormStep`` / ``FusedSampleExtractStep``
+    Adjacent pairs the optimizer fused: PROB+NORM normalizes the fresh
+    product in place (no copy); SAMPLE+EXTRACT runs both halves back to
+    back and drops the selection, which nothing later reads.
 """
 
 from __future__ import annotations
@@ -50,6 +62,7 @@ import numpy as np
 from ..obs.trace import get_tracer, plan_step_name
 from ..sparse import CSRMatrix, vstack
 from .frontier import LayerSample, MinibatchSample
+from .its import mask_row_counts, selected_row_cols
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sampler_base import MatrixSampler, SpGEMMFn
@@ -59,6 +72,8 @@ __all__ = [
     "NormStep",
     "SampleStep",
     "ExtractStep",
+    "FusedProbNormStep",
+    "FusedSampleExtractStep",
     "Step",
     "SamplingPlan",
     "step_phase",
@@ -75,10 +90,6 @@ class ProbStep:
 
     source: str = "frontier"
 
-    #: Set on fused step subclasses (see :mod:`repro.core.compile`); plain
-    #: interpreters refuse steps with ``fused=True``.
-    fused = False
-
     def __post_init__(self) -> None:
         if self.source not in _PROB_SOURCES:
             raise ValueError(
@@ -94,8 +105,6 @@ class ProbStep:
 class NormStep:
     """NORM: the sampler's row-local normalization of ``P``."""
 
-    fused = False
-
     def describe_args(self) -> list[str]:
         return []
 
@@ -105,8 +114,6 @@ class SampleStep:
     """SAMPLE: draw ``count`` distinct columns per row of ``P``."""
 
     count: int
-
-    fused = False
 
     def __post_init__(self) -> None:
         if self.count <= 0:
@@ -131,8 +138,6 @@ class ExtractStep:
     debias: bool = False
     n_layers: int | None = None
 
-    fused = False
-
     def describe_args(self) -> list[str]:
         args = [self.kind]
         if self.union_dst:
@@ -153,6 +158,49 @@ class ExtractStep:
             self.n_layers is None or self.n_layers <= 0
         ):
             raise ValueError("subgraph extraction needs n_layers >= 1")
+
+
+@dataclass(frozen=True)
+class FusedProbNormStep(ProbStep):
+    """``PROB`` immediately followed by ``NORM``, as one step.
+
+    The executor normalizes the probability product in place (it owns the
+    freshly computed matrix), producing bit-identical values to the
+    plain ``norm`` without the copy.  Subclassing :class:`ProbStep`
+    keeps plan validation and :func:`step_phase` working unchanged; the
+    whole step is attributed to the ``probability`` phase (NORM charges no
+    simulated time, so the per-phase breakdown is the plain plan's).
+    """
+
+    display_name = "PROB+NORM"
+
+
+@dataclass(frozen=True)
+class FusedSampleExtractStep(SampleStep):
+    """``SAMPLE`` immediately followed by a non-subgraph ``EXTRACT`` that
+    is the only reader of the sampled ``Q^{l-1}``.
+
+    Executors run the two halves back to back and then drop the
+    selection, so a later read fails loudly.  The partitioned executor
+    charges each half to its own Figure-7 phase.
+    """
+
+    extract: ExtractStep
+
+    display_name = "SAMPLE+EXTRACT"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not isinstance(self.extract, ExtractStep):
+            raise TypeError(f"extract must be an ExtractStep, got {self.extract!r}")
+        if self.extract.kind == "subgraph":
+            raise ValueError(
+                "subgraph extraction reads the walk history, not the "
+                "sampled Q — it cannot fuse with SAMPLE"
+            )
+
+    def describe_args(self) -> list[str]:
+        return [f"s={self.count}"] + self.extract.describe_args()
 
 
 Step = Union[ProbStep, NormStep, SampleStep, ExtractStep]
@@ -241,16 +289,17 @@ class SamplingPlan:
 
 
 class LocalExecutor:
-    """Interpret a :class:`SamplingPlan` on one device.
+    """Run a :class:`SamplingPlan`, plain or optimized, on one device.
 
     Carries the executor state Algorithm 1 threads between steps: the
-    per-batch frontiers, the current ``P`` / sampled ``Q`` pair with its
-    row-to-batch ``bounds``, the collected layers, and (for graph-wise
-    plans) the walk history.  RNG handling matches the historical loops
-    exactly — a single generator is consumed across the whole stacked bulk,
-    per-batch generators draw per row block — so fixed-seed output is
-    bit-identical to the pre-IR implementations (pinned by the golden
-    digest suite).
+    per-batch frontiers, the current ``P`` and its row-to-batch
+    ``bounds``, the sampled ``Q`` (as ``q_next = (P it was drawn from,
+    selection mask over its nonzeros)``), the collected layers, and (for
+    graph-wise plans) the walk history.  RNG handling matches the
+    historical loops exactly — a single generator is consumed across the
+    whole stacked bulk, per-batch generators draw per row block — so
+    fixed-seed output is bit-identical to the pre-IR implementations
+    (pinned by the golden digest suite).
     """
 
     def __init__(
@@ -274,7 +323,7 @@ class LocalExecutor:
         self.results: list[MinibatchSample | None] = [None] * self.k
         # Step-to-step dataflow.
         self.p: CSRMatrix | None = None
-        self.q_next: CSRMatrix | None = None
+        self.q_next: tuple[CSRMatrix, np.ndarray] | None = None
         self.bounds: np.ndarray | None = None
         self.s: int | None = None
         self.frontier: np.ndarray | None = None
@@ -291,9 +340,7 @@ class LocalExecutor:
                 self._dispatch(step)
         else:
             # One wall-clock span per plan step (the sim clock is charged
-            # per whole plan, not per step).  Wrapping here, not in
-            # _dispatch, covers the compiled executor's fused-step
-            # override through the same single hook.
+            # per whole plan, not per step); a fused step is one span.
             for step in plan.steps:
                 with tracer.span(
                     plan_step_name(step),
@@ -312,22 +359,18 @@ class LocalExecutor:
         ]
 
     def _dispatch(self, step: Step) -> None:
-        """Interpret one step.  Subclasses (the compiled executor) override
-        this to handle fused steps; the plain interpreter refuses them so a
-        half-threaded optimized plan fails loudly instead of silently
-        skipping work."""
-        if step.fused:
-            raise TypeError(
-                f"{type(step).__name__} needs the compiled executor "
-                f"(kernel='compiled'); the plain interpreter cannot run "
-                f"fused steps"
-            )
+        """Run one step, plain or fused."""
         if isinstance(step, ProbStep):
             self._prob(step)
+            if isinstance(step, FusedProbNormStep):
+                self.p = self.sampler.norm_inplace(self.p)
         elif isinstance(step, NormStep):
             self.p = self.sampler.norm(self.p)
         elif isinstance(step, SampleStep):
             self._sample(step)
+            if isinstance(step, FusedSampleExtractStep):
+                self._extract(step.extract)
+                self.q_next = None
         else:
             self._extract(step)
 
@@ -355,9 +398,10 @@ class LocalExecutor:
     # ------------------------------------------------------------------ #
     def _sample(self, step: SampleStep) -> None:
         self.s = step.count
-        self.q_next = self.sampler.sample_stacked(
+        sel = self.sampler.sample_stacked_mask(
             self.p, step.count, self.rng, self.bounds
         )
+        self.q_next = (self.p, sel)
 
     # ------------------------------------------------------------------ #
     # EXTRACT
@@ -373,26 +417,20 @@ class LocalExecutor:
             self._extract_subgraph(step)
 
     def _extract_compact(self) -> None:
+        p, sel = self.q_next
         new_dsts: list[np.ndarray] = []
         for i in range(self.k):
-            rows = self.q_next.row_block(
-                int(self.bounds[i]), int(self.bounds[i + 1])
+            layer = self.sampler.extract_batch_layer_from_mask(
+                p, sel, int(self.bounds[i]), int(self.bounds[i + 1]),
+                self.dst_lists[i],
             )
-            layer = self.sampler.extract_batch_layer(rows, self.dst_lists[i])
             self.layers_rev[i].append(layer)
             new_dsts.append(layer.src_ids)
         self.dst_lists = new_dsts
 
     def _extract_bipartite(self, step: ExtractStep) -> None:
-        sampled = [self.q_next.row(i)[0] for i in range(self.k)]
-        self._extract_bipartite_from(sampled, step)
-
-    def _extract_bipartite_from(
-        self, sampled: list[np.ndarray], step: ExtractStep
-    ) -> None:
-        """Bipartite extraction given the per-batch sampled vertex lists
-        (read off ``q_next`` rows, or off the selection mask in the compiled
-        executor)."""
+        p, sel = self.q_next
+        sampled = [selected_row_cols(p, sel, i) for i in range(self.k)]
         if step.union_dst:
             sampled = [
                 np.union1d(sv, dv) for sv, dv in zip(sampled, self.dst_lists)
@@ -416,9 +454,10 @@ class LocalExecutor:
     def _extract_walk(self) -> None:
         if self.visited is None:
             self.visited = [self.frontier]
+        p, sel = self.q_next
         nxt = self.frontier.copy()
-        picked = np.flatnonzero(self.q_next.nnz_per_row() > 0)
-        nxt[picked] = self.q_next.indices
+        picked = np.flatnonzero(mask_row_counts(p, sel) > 0)
+        nxt[picked] = p.indices[sel]
         self.visited.append(nxt)
         self.dst_lists = [
             nxt[int(self.bounds[i]) : int(self.bounds[i + 1])]

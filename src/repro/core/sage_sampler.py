@@ -10,8 +10,11 @@ just dropping the empty columns of the sampled ``Q^{l-1}`` (section 4.1.3).
 Bulk sampling of ``k`` minibatches stacks the per-batch frontiers vertically
 (Equation 1); all matrix steps are oblivious to the stacking.  The whole
 algorithm is emitted as a sampling plan — per layer ``PROB(frontier) ->
-NORM -> SAMPLE(s) -> EXTRACT(compact)`` — and interpreted by the executors
-in :mod:`repro.core.plan` and :mod:`repro.distributed.partitioned`.
+NORM -> SAMPLE(s) -> EXTRACT(compact)`` — and run by the executors in
+:mod:`repro.core.plan` and :mod:`repro.distributed.partitioned`.  Those
+executors read EXTRACT straight off the SAMPLE mask through
+:meth:`SageSampler.extract_batch_layer_from_mask`, which lowers the
+compaction to :func:`compact_layer_from_mask`.
 """
 
 from __future__ import annotations
@@ -28,10 +31,41 @@ from ..sparse import (
     row_selector,
 )
 from .frontier import LayerSample
+from .its import sampled_rows_from_mask
 from .plan import ExtractStep, NormStep, ProbStep, SampleStep, SamplingPlan
 from .sampler_base import MatrixSampler
 
-__all__ = ["SageSampler"]
+__all__ = ["SageSampler", "compact_layer_from_mask"]
+
+
+def compact_layer_from_mask(
+    p: CSRMatrix,
+    sel: np.ndarray,
+    lo: int,
+    hi: int,
+    dst_ids: np.ndarray,
+    *,
+    include_dst: bool,
+) -> LayerSample:
+    """GraphSAGE extraction: sample mask -> compacted layer directly.
+
+    Produces exactly what ``extract_batch_layer(q_next.row_block(lo, hi))``
+    produces — ``np.searchsorted(kept, cols)`` assigns the same dense ranks
+    as ``compact_columns``'s cumsum remap — without scanning an O(n)
+    column mask per batch.
+    """
+    rows = sampled_rows_from_mask(p, sel, lo, hi)
+    kept = np.unique(rows.indices)
+    new_cols = np.searchsorted(kept, rows.indices).astype(np.int64)
+    if not include_dst:
+        adj = CSRMatrix(rows.indptr, new_cols, rows.data, (hi - lo, kept.size))
+        return LayerSample(adj, kept, dst_ids)
+    src = np.union1d(kept, dst_ids)
+    pos = np.searchsorted(src, kept)
+    adj = CSRMatrix(
+        rows.indptr, pos[new_cols], rows.data, (hi - lo, src.size)
+    )
+    return LayerSample(adj, src, dst_ids)
 
 
 class SageSampler(MatrixSampler):
@@ -96,6 +130,26 @@ class SageSampler(MatrixSampler):
             (compacted.shape[0], src.size),
         )
         return LayerSample(adj, src, dst_ids)
+
+    def extract_batch_layer_from_mask(
+        self,
+        p: CSRMatrix,
+        sel: np.ndarray,
+        lo: int,
+        hi: int,
+        dst_ids: np.ndarray,
+    ) -> LayerSample:
+        """EXTRACT off the SAMPLE mask, fully lowered for the stock
+        :meth:`extract_batch_layer`; a subclass overriding that gets its
+        override called on the materialized rows instead."""
+        stock = SageSampler.extract_batch_layer
+        if type(self).extract_batch_layer is not stock:
+            return MatrixSampler.extract_batch_layer_from_mask(
+                self, p, sel, lo, hi, dst_ids
+            )
+        return compact_layer_from_mask(
+            p, sel, lo, hi, dst_ids, include_dst=self.include_dst
+        )
 
     # ------------------------------------------------------------------ #
     # Plan emission: the node-wise Algorithm-1 program

@@ -18,9 +18,10 @@ step is shared (ITS, with a Gumbel backend option) and lives in
 :mod:`repro.core.its`.
 
 Execution is an executor concern, not a sampler concern:
-:meth:`MatrixSampler.sample_bulk` hands the plan to the single-device
+:meth:`MatrixSampler.sample_bulk` optimizes the plan
+(:func:`~repro.core.compile.optimize`) and hands it to the single-device
 :class:`~repro.core.plan.LocalExecutor`, while the distributed drivers
-(:mod:`repro.distributed`) interpret the *same* plan with distributed
+(:mod:`repro.distributed`) run the *same* plan with distributed
 SpGEMMs substituted for the ``Q^l A`` products — so sampler semantics are
 defined exactly once and distributed support is a derived capability
 ("the sampler has a plan").
@@ -33,15 +34,11 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ..sparse import CSRMatrix, vstack
+from ..sparse import CSRMatrix
 from ..sparse.kernels import KernelSpec, get_kernel
-from .frontier import MinibatchSample
-from .its import (
-    gumbel_select_mask,
-    gumbel_topk_rows,
-    its_sample_rows,
-    its_select_mask,
-)
+from .compile import optimize
+from .frontier import LayerSample, MinibatchSample
+from .its import gumbel_select_mask, its_select_mask, sampled_rows_from_mask
 from .plan import LocalExecutor, SamplingPlan
 
 __all__ = ["MatrixSampler", "SpGEMMFn", "RngSpec"]
@@ -110,19 +107,17 @@ class MatrixSampler(ABC):
     def sample(
         self, p: CSRMatrix, s: int, rng: np.random.Generator
     ) -> CSRMatrix:
-        """SAMPLE(P, s): ``min(s, nnz)`` distinct columns per row of ``p``."""
-        if self.sample_backend == "gumbel":
-            return gumbel_topk_rows(p, s, rng)
-        return its_sample_rows(p, s, rng)
+        """SAMPLE(P, s): ``min(s, nnz)`` distinct columns per row of ``p``,
+        as the binary CSR built over :meth:`sample_mask`."""
+        return sampled_rows_from_mask(
+            p, self.sample_mask(p, s, rng), 0, p.shape[0]
+        )
 
     def sample_mask(
         self, p: CSRMatrix, s: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """:meth:`sample` as a boolean mask over ``p``'s nonzeros.
-
-        Identical draws in identical order (the CSR build is the only
-        thing skipped) — the form the fused SAMPLE+EXTRACT kernels read.
-        """
+        """SAMPLE(P, s) as a boolean mask over ``p``'s nonzeros — the one
+        RNG loop every SAMPLE runs, and the form the executors read."""
         if self.sample_backend == "gumbel":
             return gumbel_select_mask(p, s, rng)
         return its_select_mask(p, s, rng)
@@ -154,28 +149,11 @@ class MatrixSampler(ABC):
         rng: RngSpec,
         bounds: Sequence[int] | np.ndarray,
     ) -> CSRMatrix:
-        """SAMPLE on a stacked ``P`` whose row blocks belong to batches.
-
-        With a single generator this is exactly :meth:`sample` (one stream
-        consumed across the whole stack).  With per-batch generators
-        (a list from :meth:`_normalize_rng`) each block
-        ``bounds[i]:bounds[i+1]`` is sampled from its own stream, so a
-        batch's draws do not depend on what else happens to be stacked with
-        it.  Rows are independent under ITS/Gumbel, so the distribution is
-        identical either way.
-        """
-        if isinstance(rng, np.random.Generator):
-            return self.sample(p, s, rng)
-        if len(rng) != len(bounds) - 1:
-            raise ValueError(
-                f"need one rng per row block: got {len(rng)} for "
-                f"{len(bounds) - 1} blocks"
-            )
-        parts = [
-            self.sample(p.row_block(int(bounds[i]), int(bounds[i + 1])), s, g)
-            for i, g in enumerate(rng)
-        ]
-        return vstack(parts)
+        """SAMPLE on a stacked ``P`` whose row blocks belong to batches, as
+        the binary CSR built over :meth:`sample_stacked_mask`."""
+        return sampled_rows_from_mask(
+            p, self.sample_stacked_mask(p, s, rng, bounds), 0, p.shape[0]
+        )
 
     def sample_stacked_mask(
         self,
@@ -184,12 +162,18 @@ class MatrixSampler(ABC):
         rng: RngSpec,
         bounds: Sequence[int] | np.ndarray,
     ) -> np.ndarray:
-        """:meth:`sample_stacked` as a mask over ``p``'s nonzeros.
+        """SAMPLE on a stacked ``P`` whose row blocks belong to batches, as
+        a mask over ``p``'s nonzeros.
 
-        Per-batch generators sample each zero-copy row block separately
-        (consuming each stream exactly as :meth:`sample_stacked` does) and
-        the block masks concatenate back into ``p``'s global nonzero
-        order, since the blocks tile ``p``'s nnz contiguously.
+        With a single generator this is exactly :meth:`sample_mask` (one
+        stream consumed across the whole stack).  With per-batch generators
+        (a list from :meth:`_normalize_rng`) each zero-copy row block
+        ``bounds[i]:bounds[i+1]`` is sampled from its own stream, so a
+        batch's draws do not depend on what else happens to be stacked with
+        it; the block masks concatenate back into ``p``'s global nonzero
+        order, since the blocks tile ``p``'s nnz contiguously.  Rows are
+        independent under ITS/Gumbel, so the distribution is identical
+        either way.
         """
         if isinstance(rng, np.random.Generator):
             return self.sample_mask(p, s, rng)
@@ -208,6 +192,25 @@ class MatrixSampler(ABC):
             return np.zeros(0, dtype=bool)
         return np.concatenate(parts)
 
+    def extract_batch_layer_from_mask(
+        self,
+        p: CSRMatrix,
+        sel: np.ndarray,
+        lo: int,
+        hi: int,
+        dst_ids: np.ndarray,
+    ) -> LayerSample:
+        """Compact EXTRACT for the batch owning rows ``[lo, hi)`` of ``p``,
+        read from the SAMPLE mask ``sel``.
+
+        The base materializes the batch's sampled rows and hands them to
+        the sampler's ``extract_batch_layer``; samplers may lower it to
+        skip that block build (GraphSAGE does).
+        """
+        return self.extract_batch_layer(
+            sampled_rows_from_mask(p, sel, lo, hi), dst_ids
+        )
+
     # ------------------------------------------------------------------ #
     # Plan emission + whole-algorithm entry point (single device)
     # ------------------------------------------------------------------ #
@@ -217,7 +220,7 @@ class MatrixSampler(ABC):
         Returning a :class:`~repro.core.plan.SamplingPlan` is what makes a
         sampler executable — locally through :meth:`sample_bulk`, and
         under *every* distributed executor (replicated runs the local plan
-        per rank; partitioned interprets the same plan over the 1.5D
+        per rank; partitioned runs the same plan over the 1.5D
         grid).  The base returns ``None``: no matrix program, so only a
         hand-written ``sample_bulk`` override could run it.
         """
@@ -231,7 +234,6 @@ class MatrixSampler(ABC):
         rng: RngSpec,
         *,
         spgemm_fn: SpGEMMFn | None = None,
-        prob_cache=None,
     ) -> list[MinibatchSample]:
         """Sample ``len(batches)`` minibatches in one bulk pass.
 
@@ -244,17 +246,11 @@ class MatrixSampler(ABC):
         uses the sampler's kernel backend; distributed drivers and cost
         recorders pass their own wrapper.
 
-        The default implementation emits :meth:`plan` and interprets it
-        with the single-device :class:`~repro.core.plan.LocalExecutor`;
-        samplers without a plan must override this method instead.  When
-        the sampler's kernel backend sets ``compiles_plans`` (the
-        ``compiled`` registry entry), the plan is optimized
-        (:func:`repro.core.compile.optimize`) and run by the
-        :class:`~repro.core.compile.CompiledLocalExecutor` — bit-identical
-        output, fused execution.  ``prob_cache`` (a
-        :class:`~repro.core.compile.ProbCache`) then reuses probability
-        matrices across bulk calls sharing a frontier; it is ignored on
-        the interpreted path.
+        The default implementation emits :meth:`plan`, optimizes it
+        (:func:`~repro.core.compile.optimize`; bit-identical output) and
+        runs it with the single-device
+        :class:`~repro.core.plan.LocalExecutor`; samplers without a plan
+        must override this method instead.
         """
         spgemm = self._resolve_spgemm(spgemm_fn)
         self._validate(adj, batches, fanout)
@@ -266,14 +262,8 @@ class MatrixSampler(ABC):
                 f"override sample_bulk()"
             )
         rng = self._normalize_rng(rng, len(batches))
-        if getattr(get_kernel(self.kernel), "compiles_plans", False):
-            from .compile import CompiledLocalExecutor, optimize
-
-            executor = CompiledLocalExecutor(
-                self, adj, batches, rng, spgemm, prob_cache=prob_cache
-            )
-            return executor.run(optimize(program))
-        return LocalExecutor(self, adj, batches, rng, spgemm).run(program)
+        executor = LocalExecutor(self, adj, batches, rng, spgemm)
+        return executor.run(optimize(program))
 
     # ------------------------------------------------------------------ #
     # Shared validation

@@ -4,8 +4,9 @@ Both the adjacency matrix ``A`` and the stacked bulk ``Q`` are partitioned
 into ``p/c`` block rows on a ``p/c x c`` process grid, with each block row
 replicated ``c`` times.  Execution is *plan-driven*: the sampler emits the
 same declarative :class:`~repro.core.plan.SamplingPlan` the single-device
-executor runs, and :class:`PartitionedExecutor` interprets each step over
-the grid —
+executor runs, optimized the same way (:func:`~repro.core.compile.optimize`),
+and :class:`PartitionedExecutor` runs each step, plain or fused, over the
+grid —
 
 * ``PROB`` steps run as the sparsity-aware 1.5D SpGEMM of Algorithm 2
   (:func:`~repro.distributed.spgemm_15d.spgemm_15d`), or as the
@@ -21,7 +22,9 @@ There is no per-algorithm code here: any sampler with a plan — including
 registry plugins and GraphSAINT — runs partitioned.  Per-phase simulated
 time is attributed to the phases Figure 7 plots (``probability`` /
 ``sampling`` / ``extraction``), derived from the step types via
-:func:`~repro.core.plan.step_phase`.
+:func:`~repro.core.plan.step_phase`; a fused SAMPLE+EXTRACT charges each
+half to its own phase, so ``run(plan)`` and ``run(optimize(plan))`` give
+the same breakdown.
 
 Randomness is one independent stream per minibatch, keyed by the *global*
 batch index (:func:`~repro.core.bulk.batch_rng`) — the same discipline the
@@ -44,19 +47,13 @@ from ..core import (
     reassemble_round_robin,
     step_phase,
 )
-from ..core.compile import (
-    FusedProbNormStep,
-    FusedSampleExtractStep,
-    compact_layer_from_mask,
-    mask_row_counts,
-    optimize,
-    sampled_rows_from_mask,
-    selected_row_cols,
-)
-from ..core.compile import _lowers_compact
+from ..core.compile import optimize
 from ..core.frontier import LayerSample
+from ..core.its import mask_row_counts, selected_row_cols
 from ..core.plan import (
     ExtractStep,
+    FusedProbNormStep,
+    FusedSampleExtractStep,
     NormStep,
     ProbStep,
     SampleStep,
@@ -72,7 +69,6 @@ from .spgemm_15d import spgemm_15d
 __all__ = [
     "partitioned_bulk_sampling",
     "PartitionedExecutor",
-    "CompiledPartitionedExecutor",
 ]
 
 
@@ -100,14 +96,16 @@ def _make_q_blocks(
 
 
 class PartitionedExecutor:
-    """Interpret a :class:`~repro.core.plan.SamplingPlan` on the 1.5D grid.
+    """Run a :class:`~repro.core.plan.SamplingPlan`, plain or optimized, on
+    the 1.5D grid.
 
     Holds the per-process-row state Algorithm 2 threads between steps:
     each row's owned batches with their destination lists and per-batch RNG
     streams, the current probability block rows with their row-to-batch
-    bounds, the sampled ``Q``, collected layers, and (for graph-wise plans)
-    the walk history.  All matrix arithmetic is exact, so output equals the
-    local executor's for the same per-batch streams.
+    bounds, the sampled ``Q`` (per row, the ``P`` block it was drawn from
+    plus the selection mask over its nonzeros), collected layers, and (for
+    graph-wise plans) the walk history.  All matrix arithmetic is exact, so
+    output equals the local executor's for the same per-batch streams.
     """
 
     def __init__(
@@ -153,7 +151,7 @@ class PartitionedExecutor:
         self.results: dict[int, MinibatchSample] = {}
         # Step-to-step dataflow, one entry per process row.
         self.p_blocks: list[CSRMatrix] | None = None
-        self.q_next: list[CSRMatrix | None] | None = None
+        self.q_next: list[tuple[CSRMatrix, np.ndarray] | None] | None = None
         self.bounds: list[np.ndarray] | None = None
         self.frontier: list[np.ndarray] | None = None
         self.visited: list[list[np.ndarray] | None] = [None] * self.n_rows
@@ -182,19 +180,24 @@ class PartitionedExecutor:
         return reassemble_round_robin(samples_by_row, len(self.batches))
 
     def _dispatch(self, step: Step) -> None:
-        """Interpret one step; the compiled subclass overrides this to add
-        fused handlers, the plain interpreter refuses fused steps."""
-        if getattr(step, "fused", False):
-            raise TypeError(
-                f"{type(step).__name__} needs CompiledPartitionedExecutor; "
-                f"the plain interpreter cannot run fused steps"
-            )
+        """Run one step, plain or fused; a fused SAMPLE+EXTRACT charges its
+        extract half to the extraction phase."""
         if isinstance(step, ProbStep):
             self._prob(step)
+            if isinstance(step, FusedProbNormStep):
+                # Fresh 1.5D products (or fresh stacks of the importance
+                # row): this executor owns them.
+                self.p_blocks = [
+                    self.sampler.norm_inplace(p) for p in self.p_blocks
+                ]
         elif isinstance(step, NormStep):
             self._norm()
         elif isinstance(step, SampleStep):
             self._sample(step)
+            if isinstance(step, FusedSampleExtractStep):
+                with self.comm.phase(step_phase(step.extract)):
+                    self._extract(step.extract)
+                self.q_next = None
         else:
             self._extract(step)
 
@@ -301,11 +304,10 @@ class PartitionedExecutor:
                 self.q_next.append(None)
                 continue
             p = self.p_blocks[row]
-            self.q_next.append(
-                self.sampler.sample_stacked(
-                    p, step.count, self.rngs[row], self.bounds[row]
-                )
+            sel = self.sampler.sample_stacked_mask(
+                p, step.count, self.rngs[row], self.bounds[row]
             )
+            self.q_next.append((p, sel))
             _charge_row(
                 self.comm, self.grid, row,
                 flops=sample_norm_flops(p, step.count),
@@ -330,33 +332,35 @@ class PartitionedExecutor:
         """Row-local column compaction: each batch's sampled rows drop
         their empty columns and the kept columns become its new frontier."""
         for row in range(self.n_rows):
-            q_next = self.q_next[row]
-            if q_next is None:
+            if self.q_next[row] is None:
                 continue
+            p, sel = self.q_next[row]
             bounds = self.bounds[row]
             new_dsts = []
             for b, dst in enumerate(self.dst[row]):
-                rows = q_next.row_block(int(bounds[b]), int(bounds[b + 1]))
-                layer = self.sampler.extract_batch_layer(rows, dst)
+                layer = self.sampler.extract_batch_layer_from_mask(
+                    p, sel, int(bounds[b]), int(bounds[b + 1]), dst
+                )
                 self.layers_rev[row][b].append(layer)
                 new_dsts.append(layer.src_ids)
             self.dst[row] = new_dsts
             _charge_row(
                 self.comm, self.grid, row,
-                nbytes=24.0 * q_next.nnz, kernels=2,
+                nbytes=24.0 * int(np.count_nonzero(sel)), kernels=2,
             )
 
     def _sampled_lists(self, step: ExtractStep) -> list[list[np.ndarray]]:
-        """Per-row per-batch sampled vertex sets read off ``q_next`` rows
-        (layer-wise plans: one P row per batch)."""
+        """Per-row per-batch sampled vertex sets read off the sampled
+        ``Q`` rows (layer-wise plans: one P row per batch), unioned with
+        the destinations if the step asks for it."""
         out: list[list[np.ndarray]] = []
         for row in range(self.n_rows):
-            q_next = self.q_next[row]
-            if q_next is None:
+            if self.q_next[row] is None:
                 out.append([])
                 continue
+            p, sel = self.q_next[row]
             sampled = [
-                q_next.row(b)[0] for b in range(len(self.dst[row]))
+                selected_row_cols(p, sel, b) for b in range(len(self.dst[row]))
             ]
             if step.union_dst:
                 sampled = [
@@ -367,18 +371,10 @@ class PartitionedExecutor:
         return out
 
     def _extract_bipartite(self, step: ExtractStep) -> None:
-        self._extract_bipartite_from(self._sampled_lists(step), step)
-
-    def _extract_bipartite_from(
-        self,
-        sampled_by_row: list[list[np.ndarray]],
-        step: ExtractStep,
-    ) -> None:
         """Distributed row extraction (1.5D SpGEMM) followed by per-batch
         column extraction split across each process row's replicas
-        (section 5.2.3).  ``sampled_by_row`` holds the per-row per-batch
-        sampled vertex lists, already unioned with destinations if the
-        step asks for it."""
+        (section 5.2.3)."""
+        sampled_by_row = self._sampled_lists(step)
         ar_blocks = self._row_extract_15d(self.dst)
         for row in range(self.n_rows):
             a_r = ar_blocks[row]
@@ -463,15 +459,15 @@ class PartitionedExecutor:
         """Row-local walk advance: walkers with a sampled neighbor move,
         walkers on isolated vertices stay in place."""
         for row in range(self.n_rows):
-            q_next = self.q_next[row]
-            if q_next is None:
+            if self.q_next[row] is None:
                 continue
+            p, sel = self.q_next[row]
             frontier = self.frontier[row]
             if self.visited[row] is None:
                 self.visited[row] = [frontier]
             nxt = frontier.copy()
-            picked = np.flatnonzero(q_next.nnz_per_row() > 0)
-            nxt[picked] = q_next.indices
+            picked = np.flatnonzero(mask_row_counts(p, sel) > 0)
+            nxt[picked] = p.indices[sel]
             self.visited[row].append(nxt)
             bounds = self.bounds[row]
             self.dst[row] = [
@@ -532,141 +528,6 @@ class PartitionedExecutor:
                 self.results[i] = MinibatchSample(batch, layers)
 
 
-class CompiledPartitionedExecutor(PartitionedExecutor):
-    """A :class:`PartitionedExecutor` that additionally runs fused steps.
-
-    Same fused row-wise kernels as the local compiled executor
-    (:mod:`repro.core.compile`), applied per process row: fused PROB+NORM
-    normalizes each row's 1.5D product block in place, fused
-    SAMPLE+EXTRACT keeps the selection as a mask over each block and
-    extracts straight from it.  Simulated cost charges stay identical to
-    the interpreter's (the model charges data volumes, which fusion does
-    not change); per-phase attribution folds each fused step into its
-    :func:`~repro.core.plan.step_phase` phase.
-    """
-
-    def _dispatch(self, step: Step) -> None:
-        if isinstance(step, FusedProbNormStep):
-            self._fused_prob_norm(step)
-        elif isinstance(step, FusedSampleExtractStep):
-            self._fused_sample_extract(step)
-        else:
-            super()._dispatch(step)
-
-    def _fused_prob_norm(self, step: FusedProbNormStep) -> None:
-        self._prob(step)
-        # The blocks are freshly computed 1.5D products (or fresh stacks
-        # of the cached importance row) — this executor owns them.
-        self.p_blocks = [
-            self.sampler.norm_inplace(p) for p in self.p_blocks
-        ]
-
-    def _fused_sample_extract(self, step: FusedSampleExtractStep) -> None:
-        self.s = step.count
-        sels: list[np.ndarray | None] = []
-        for row in range(self.n_rows):
-            if not self.owners[row]:
-                sels.append(None)
-                continue
-            p = self.p_blocks[row]
-            sels.append(
-                self.sampler.sample_stacked_mask(
-                    p, step.count, self.rngs[row], self.bounds[row]
-                )
-            )
-            _charge_row(
-                self.comm, self.grid, row,
-                flops=sample_norm_flops(p, step.count),
-                nbytes=24.0 * p.nnz,
-                kernels=4,
-            )
-        extract = step.extract
-        if extract.kind == "compact":
-            self._fused_extract_compact(sels)
-        elif extract.kind == "bipartite":
-            self._extract_bipartite_from(
-                self._sampled_lists_from_masks(sels, extract), extract
-            )
-        else:  # walk
-            self._fused_extract_walk(sels)
-        self.q_next = None
-
-    def _sampled_lists_from_masks(
-        self, sels: list[np.ndarray | None], step: ExtractStep
-    ) -> list[list[np.ndarray]]:
-        out: list[list[np.ndarray]] = []
-        for row in range(self.n_rows):
-            sel = sels[row]
-            if sel is None:
-                out.append([])
-                continue
-            p = self.p_blocks[row]
-            sampled = [
-                selected_row_cols(p, sel, b)
-                for b in range(len(self.dst[row]))
-            ]
-            if step.union_dst:
-                sampled = [
-                    np.union1d(sv, dv)
-                    for sv, dv in zip(sampled, self.dst[row])
-                ]
-            out.append(sampled)
-        return out
-
-    def _fused_extract_compact(
-        self, sels: list[np.ndarray | None]
-    ) -> None:
-        lower = _lowers_compact(self.sampler)
-        for row in range(self.n_rows):
-            sel = sels[row]
-            if sel is None:
-                continue
-            p = self.p_blocks[row]
-            bounds = self.bounds[row]
-            new_dsts = []
-            for b, dst in enumerate(self.dst[row]):
-                lo, hi = int(bounds[b]), int(bounds[b + 1])
-                if lower:
-                    layer = compact_layer_from_mask(
-                        p, sel, lo, hi, dst,
-                        include_dst=self.sampler.include_dst,
-                    )
-                else:
-                    layer = self.sampler.extract_batch_layer(
-                        sampled_rows_from_mask(p, sel, lo, hi), dst
-                    )
-                self.layers_rev[row][b].append(layer)
-                new_dsts.append(layer.src_ids)
-            self.dst[row] = new_dsts
-            _charge_row(
-                self.comm, self.grid, row,
-                nbytes=24.0 * int(sel.sum()), kernels=2,
-            )
-
-    def _fused_extract_walk(self, sels: list[np.ndarray | None]) -> None:
-        for row in range(self.n_rows):
-            sel = sels[row]
-            if sel is None:
-                continue
-            p = self.p_blocks[row]
-            frontier = self.frontier[row]
-            if self.visited[row] is None:
-                self.visited[row] = [frontier]
-            nxt = frontier.copy()
-            picked = np.flatnonzero(mask_row_counts(p, sel) > 0)
-            nxt[picked] = p.indices[sel]
-            self.visited[row].append(nxt)
-            bounds = self.bounds[row]
-            self.dst[row] = [
-                nxt[int(bounds[b]) : int(bounds[b + 1])]
-                for b in range(len(self.dst[row]))
-            ]
-            _charge_row(
-                self.comm, self.grid, row,
-                nbytes=16.0 * nxt.size, kernels=2,
-            )
-
-
 def partitioned_bulk_sampling(
     comm: Communicator,
     grid: ProcessGrid,
@@ -701,18 +562,8 @@ def partitioned_bulk_sampling(
             f"plan; {type(sampler).__name__} does not (implement "
             f"MatrixSampler.plan())"
         )
-    backend = get_kernel(
-        kernel if kernel is not None else getattr(sampler, "kernel", None)
+    executor = PartitionedExecutor(
+        comm, grid, sampler, a_blocks, batches, seed,
+        sparsity_aware=sparsity_aware, kernel=kernel,
     )
-    if getattr(backend, "compiles_plans", False):
-        plan = optimize(plan)
-        executor: PartitionedExecutor = CompiledPartitionedExecutor(
-            comm, grid, sampler, a_blocks, batches, seed,
-            sparsity_aware=sparsity_aware, kernel=kernel,
-        )
-    else:
-        executor = PartitionedExecutor(
-            comm, grid, sampler, a_blocks, batches, seed,
-            sparsity_aware=sparsity_aware, kernel=kernel,
-        )
-    return executor.run(plan), executor.owners
+    return executor.run(optimize(plan)), executor.owners

@@ -211,8 +211,6 @@ def process_parallel(server: "ServingEngine", workload) -> "ServeReport":
     if updates:
         for rep in server.replicas:
             rep.fanout = rep._full_fanout()
-            if rep.prob_cache is not None:
-                rep.prob_cache.clear()
             if rep.cache is not None:
                 rep.cache.clear()
 

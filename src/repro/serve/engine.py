@@ -56,8 +56,8 @@ that interleave :class:`~repro.stream.EdgeBatch` mutations with requests
 (:class:`~repro.stream.UpdateStream`).  An update due before the next
 micro-batch's dispatch is applied first (:meth:`ServingEngine.apply_update`):
 the delta-log merge and threshold compaction happen once on the shared
-graph, then every replica absorbs the change — fanout refresh, ProbCache
-clear, dirty-vertex invalidation of its embedding cache — on its own clock
+graph, then every replica absorbs the change — fanout refresh and
+dirty-vertex invalidation of its embedding cache — on its own clock
 under a ``graph_update`` phase.  So every request is served on the graph
 as of its dispatch time and logits stay bit-identical to layer-wise
 inference on the *current* adjacency.
@@ -529,6 +529,4 @@ class ServingEngine:
                     "serve_replica_requests_total",
                     "requests served per replica", replica=rep.rid,
                 ).set(rep.served)
-                if rep.prob_cache is not None:
-                    rep.prob_cache.publish(registry, replica=rep.rid)
         return report

@@ -1,8 +1,6 @@
 """Replica: one serving unit's compute core, caches, and clock.
 
-A :class:`Replica` is everything *one* server owns: the
-sampler (plan-compiled when the kernel supports it), the
-:class:`~repro.core.compile.ProbCache`, the
+A :class:`Replica` is everything *one* server owns: the sampler, the
 :class:`~repro.serve.cache.EmbeddingCache`, a private
 :class:`~repro.comm.clock.SimClock` / :class:`~repro.comm.cost_model.CostModel`
 pair for phase accounting, and the :class:`~repro.serve.request.MicroBatcher`
@@ -15,10 +13,9 @@ through three verbs —
   charging the replica's own clock;
 * :meth:`logits_for` — the underlying cached/exact/sampled forward path;
 * :meth:`absorb_update` — react to an applied graph update: refresh the
-  exact-mode fanout, drop stale probability matrices, and invalidate the
-  dirty vertices' cached embeddings (each replica invalidates *its own*
-  cache contents, which is what makes absorbing an update on every
-  replica cheap).
+  exact-mode fanout and invalidate the dirty vertices' cached embeddings
+  (each replica invalidates *its own* cache contents, which is what makes
+  absorbing an update on every replica cheap).
 
 Exactness is a per-replica property: in exact mode (``fanout=None``) the
 logits a replica serves are bit-identical to layer-wise inference and do
@@ -34,9 +31,7 @@ import numpy as np
 
 from ..comm.clock import SimClock
 from ..comm.cost_model import CostModel, payload_nbytes
-from ..core.compile import ProbCache, optimize
 from ..core.sage_sampler import SageSampler
-from ..sparse.kernels import get_kernel
 from ..gnn.model import GNNModel
 from ..graphs import Graph
 from ..obs.trace import get_tracer, maybe_span
@@ -112,15 +107,6 @@ class Replica:
                 config.sampler, graph=graph, for_training=True,
                 kernel=config.kernel,
             )
-        # A compiled kernel backend (compiles_plans) runs fused plans and
-        # can reuse probability matrices across micro-batches that share a
-        # frontier — the serving-side payoff of the plan compiler.
-        self._compiled = getattr(
-            get_kernel(config.kernel), "compiles_plans", False
-        )
-        self.prob_cache: ProbCache | None = (
-            ProbCache() if self._compiled else None
-        )
         self.cache: EmbeddingCache | None = None
         if self.exact and n_layers > 1 and config.embed_budget > 0:
             self.cache = EmbeddingCache(
@@ -217,10 +203,6 @@ class Replica:
                 )
             if self.exact:
                 self.fanout = self._full_fanout()
-            if self.prob_cache is not None:
-                # Cached probability matrices were computed on the old
-                # adjacency; every one of them is stale now.
-                self.prob_cache.clear()
             if self.cache is not None and result.dirty_rows.size:
                 stale = dirty_closure(
                     self.graph.adj, result.dirty_rows, self.model.n_layers - 2
@@ -239,31 +221,17 @@ class Replica:
     # ------------------------------------------------------------------ #
     # Cost accounting helpers
     # ------------------------------------------------------------------ #
-    def _sample_bulk(self, batches, fanout, rng):
-        """The replica's one bulk-sampling call site.
-
-        Threads the probability cache through when the configured kernel
-        compiles plans; interpreted backends get the plain call (their
-        ``sample_bulk`` may be an override without the keyword).
-        """
-        if self.prob_cache is not None:
-            return self.sampler.sample_bulk(
-                self.graph.adj, batches, fanout, rng,
-                prob_cache=self.prob_cache,
-            )
-        return self.sampler.sample_bulk(self.graph.adj, batches, fanout, rng)
-
     def _charge_sampling(self, layers) -> None:
         """One plan execution: fixed kernel launches + size-scaled work.
 
-        The kernel count comes from the emitted plan (4 steps per layer for
-        the node-wise program, 2 after the plan compiler fuses PROB+NORM
-        and SAMPLE+EXTRACT), *not* from the number of coalesced requests —
-        that independence is the micro-batching amortization.
+        The kernel count is one launch per step of the emitted plan (4 per
+        layer for the node-wise program), *not* the number of coalesced
+        requests — that independence is the micro-batching amortization.
+        The count is taken from the plain plan: the simulated device runs
+        one kernel per Algorithm-1 step, whatever fusions this host's
+        optimizer applies.
         """
         program = self.sampler.plan(tuple(self.fanout[: len(layers)]))
-        if program is not None and self._compiled:
-            program = optimize(program)
         kernels = len(program.steps) if program is not None else 4 * len(layers)
         edges = sum(layer.adj.nnz for layer in layers)
         nbytes = 2.0 * payload_nbytes([layer.adj for layer in layers])
@@ -305,7 +273,9 @@ class Replica:
         n_layers = model.n_layers
         if self.cache is None:
             with maybe_span("sampling", cat="serve"), self.clock.phase("sampling"):
-                sample = self._sample_bulk([targets], self.fanout, rng)[0]
+                sample = self.sampler.sample_bulk(
+                    graph.adj, [targets], self.fanout, rng
+                )[0]
                 self._charge_sampling(sample.layers)
             with maybe_span("propagation", cat="serve"), self.clock.phase(
                 "propagation"
@@ -317,7 +287,9 @@ class Replica:
         # Cached path: the final hop is sampled for the whole frontier, but
         # the deep (L-1)-layer expansion only runs for cache *misses*.
         with maybe_span("sampling", cat="serve"), self.clock.phase("sampling"):
-            outer = self._sample_bulk([targets], self.fanout[-1:], rng)[0]
+            outer = self.sampler.sample_bulk(
+                graph.adj, [targets], self.fanout[-1:], rng
+            )[0]
             self._charge_sampling(outer.layers)
         layer_last = outer.layers[0]
         frontier = layer_last.src_ids
@@ -340,8 +312,8 @@ class Replica:
         misses = frontier[~mask]
         if misses.size:
             with maybe_span("sampling", cat="serve"), self.clock.phase("sampling"):
-                inner = self._sample_bulk(
-                    [misses], self.fanout[: n_layers - 1], rng
+                inner = self.sampler.sample_bulk(
+                    graph.adj, [misses], self.fanout[: n_layers - 1], rng
                 )[0]
                 self._charge_sampling(inner.layers)
             with maybe_span("propagation", cat="serve"), self.clock.phase(

@@ -17,6 +17,15 @@ Built-ins:
 * ``scipy`` — auto-registered only when ``scipy`` is importable; delegates
   to ``scipy.sparse``'s compiled CSR kernels.
 
+The backend picks only the general SpGEMM.  :meth:`KernelBackend.spgemm`
+first takes the row-gather fast path shared by every backend: when the
+left operand is a unit row selector (one ``1.0`` per row — GraphSAGE's
+``Q``, LADIES' ``Q_R``, every SAINT walk frontier), the product is a row
+gather of the right operand, bit-identical to any general kernel.  How a
+sampling plan runs is not a kernel property: every plan is optimized
+(:func:`repro.core.compile.optimize`) and run by the one executor per
+grid, whatever the backend.
+
 Selection is threaded everywhere a kernel runs: ``CSRMatrix.__matmul__``
 dispatches through the process-wide default (:func:`set_default_kernel`,
 :func:`use_kernel`), samplers take ``kernel=`` at construction,
@@ -28,7 +37,7 @@ available to all of them at once::
 
     class MyKernel(KernelBackend):
         name = "mine"
-        def spgemm(self, a, b):
+        def general_spgemm(self, a, b):
             ...
 
     KERNELS.register("mine", MyKernel(), description="...")
@@ -60,7 +69,6 @@ __all__ = [
     "KernelBackend",
     "ESCKernel",
     "HashKernel",
-    "CompiledKernel",
     "ScipyKernel",
     "KernelSpec",
     "get_kernel",
@@ -70,10 +78,19 @@ __all__ = [
 ]
 
 
+def _is_unit_row_selector(q: CSRMatrix) -> bool:
+    """True iff every row of ``q`` holds exactly one entry of value 1.0."""
+    return (
+        q.nnz == q.shape[0]
+        and bool(np.all(np.diff(q.indptr) == 1))
+        and bool(np.all(q.data == 1.0))
+    )
+
+
 class KernelBackend:
     """One interchangeable set of sparse kernels.
 
-    Subclasses must implement :meth:`spgemm`; :meth:`spmm` and
+    Subclasses must implement :meth:`general_spgemm`; :meth:`spmm` and
     :meth:`sddmm` default to the shared numpy kernels, since SpGEMM is
     where implementations meaningfully diverge.  Backends are stateless —
     the registry stores one instance, shared by every caller.
@@ -81,16 +98,23 @@ class KernelBackend:
 
     name: str = "abstract"
 
-    #: When True, plan-driven executors run sampling plans through the
-    #: optimizer in :mod:`repro.core.compile` (PROB+NORM / SAMPLE+EXTRACT
-    #: fusion, dead-step elimination) and interpret them with the compiled
-    #: executors' fused row-wise kernels.  Output stays bit-identical to
-    #: the step-by-step interpreter (enforced by the golden-digest and
-    #: differential plan-fuzzing suites).
-    compiles_plans: bool = False
-
     def spgemm(self, a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
-        """Sparse @ sparse -> sparse (duplicates summed)."""
+        """Sparse @ sparse -> sparse (duplicates summed).
+
+        When ``a`` is a unit row selector, output row ``i`` is
+        ``1.0 * b[a.indices[i]]``: one source row, nothing to accumulate,
+        ``1.0 * x == x`` exactly, and ``b``'s canonical column order kept.
+        The product is then a row gather, bit-identical to every general
+        kernel.  Everything else goes to :meth:`general_spgemm`.
+        """
+        if a.shape[1] != b.shape[0]:
+            raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
+        if _is_unit_row_selector(a):
+            return b.extract_rows(a.indices)
+        return self.general_spgemm(a, b)
+
+    def general_spgemm(self, a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
+        """The backend's own SpGEMM, for any pair of operands."""
         raise NotImplementedError
 
     def spmm(self, a: CSRMatrix, dense: np.ndarray) -> np.ndarray:
@@ -112,7 +136,7 @@ class ESCKernel(KernelBackend):
 
     name = "esc"
 
-    def spgemm(self, a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
+    def general_spgemm(self, a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
         return spgemm(a, b)
 
 
@@ -121,23 +145,8 @@ class HashKernel(KernelBackend):
 
     name = "hash"
 
-    def spgemm(self, a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
+    def general_spgemm(self, a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
         return spgemm_hash(a, b)
-
-
-class CompiledKernel(HashKernel):
-    """Hash SpGEMM plus sampling-plan compilation.
-
-    The SpGEMM primitive is exactly the ``hash`` backend's (so individual
-    products are bit-identical to it); the difference is the
-    ``compiles_plans`` flag: executors seeing this backend optimize the
-    sampling plan (:func:`repro.core.compile.optimize`) and run the fused
-    steps through row-wise kernels that skip the NORM copy and the
-    intermediate ``Q^{l-1}`` CSR materialization.
-    """
-
-    name = "compiled"
-    compiles_plans = True
 
 
 class ScipyKernel(KernelBackend):
@@ -145,9 +154,7 @@ class ScipyKernel(KernelBackend):
 
     name = "scipy"
 
-    def spgemm(self, a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
-        if a.shape[1] != b.shape[0]:
-            raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
+    def general_spgemm(self, a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
         if a.nnz == 0 or b.nnz == 0:
             return CSRMatrix.zeros((a.shape[0], b.shape[1]))
         return CSRMatrix.from_scipy(a.to_scipy() @ b.to_scipy())
@@ -171,13 +178,6 @@ KERNELS.register(
     "hash",
     HashKernel(),
     description="row-wise hash accumulator; fast on duplicate-heavy products",
-    requires=None,
-)
-KERNELS.register(
-    "compiled",
-    CompiledKernel(),
-    description="hash SpGEMM + plan optimizer: fused PROB+NORM / "
-    "SAMPLE+EXTRACT row-wise kernels",
     requires=None,
 )
 

@@ -1,11 +1,12 @@
-"""Unit tests for the sampling-plan compiler (:mod:`repro.core.compile`).
+"""Unit tests for the sampling-plan optimizer (:mod:`repro.core.compile`).
 
 Each optimizer pass is tested in isolation for legality — what it may and
 may not rewrite — plus the fused-step rendering of ``describe()``, the
-probability cache's keying/reuse behaviour, the in-place NORM variants'
-bit-equality with their copying counterparts, and the plain interpreters'
-loud refusal of fused steps.  End-to-end bit-identity of the compiled
-path lives in the golden suites and ``test_compile_differential.py``.
+in-place NORM variants' bit-equality with their copying counterparts, the
+mask-based extraction kernels, and the row-gather fast path every kernel
+backend's SpGEMM takes.  End-to-end bit-identity of ``run(plan)`` and
+``run(optimize(plan))`` lives in the golden suites and
+``test_compile_differential.py``.
 """
 
 from __future__ import annotations
@@ -21,19 +22,15 @@ from repro.core import (
     SageSampler,
 )
 from repro.core.compile import (
-    CompiledLocalExecutor,
-    FusedProbNormStep,
-    FusedSampleExtractStep,
-    ProbCache,
-    compact_layer_from_mask,
     eliminate_dead_steps,
     fuse_prob_norm,
     fuse_sample_extract,
     optimize,
-    selector_aware_spgemm,
 )
 from repro.core.plan import (
     ExtractStep,
+    FusedProbNormStep,
+    FusedSampleExtractStep,
     LocalExecutor,
     NormStep,
     ProbStep,
@@ -45,10 +42,11 @@ from repro.distributed.partitioned import (
     PartitionedExecutor,
     partitioned_bulk_sampling,
 )
+from repro.core.sage_sampler import compact_layer_from_mask
 from repro.graphs import rmat
 from repro.partition import BlockRows
-from repro.sparse import row_normalize
-from repro.sparse.kernels import KERNELS, get_kernel
+from repro.sparse import spgemm, spgemm_hash
+from repro.sparse.kernels import KERNELS, KernelBackend, get_kernel
 
 
 def _graph(seed=0, scale=8, deg=6):
@@ -74,24 +72,6 @@ def _layers_equal(a, b):
             assert np.array_equal(la.adj.data, lb.adj.data)
             assert np.array_equal(la.src_ids, lb.src_ids)
             assert np.array_equal(la.dst_ids, lb.dst_ids)
-
-
-# --------------------------------------------------------------------- #
-# Registry / config surface
-# --------------------------------------------------------------------- #
-def test_compiled_kernel_registered():
-    assert "compiled" in KERNELS.names()
-    backend = get_kernel("compiled")
-    assert backend.compiles_plans
-    # The SpGEMM itself is hash's: bit-identical products by construction.
-    assert not get_kernel("hash").compiles_plans
-    assert not get_kernel("esc").compiles_plans
-
-
-def test_run_config_accepts_compiled():
-    from repro.api.config import RunConfig
-
-    assert RunConfig(kernel="compiled").kernel == "compiled"
 
 
 # --------------------------------------------------------------------- #
@@ -166,7 +146,10 @@ def test_fuse_sample_extract_blocked_by_later_q_reader():
         )
     )
     fused = fuse_sample_extract(plan)
-    assert not any(s.fused for s in fused.steps)
+    assert not any(
+        isinstance(s, (FusedProbNormStep, FusedSampleExtractStep))
+        for s in fused.steps
+    )
 
 
 def test_fuse_sample_extract_allows_q_rewrite_between():
@@ -191,7 +174,7 @@ def test_fastgcn_plan_has_no_norm_to_fuse():
     plan = FastGCNSampler().plan((8,))
     opt = optimize(plan)
     assert isinstance(opt.steps[0], ProbStep)
-    assert not opt.steps[0].fused
+    assert not isinstance(opt.steps[0], FusedProbNormStep)
     assert isinstance(opt.steps[1], FusedSampleExtractStep)
 
 
@@ -331,35 +314,6 @@ def test_describe_saint_keeps_subgraph_interpreted():
 
 
 # --------------------------------------------------------------------- #
-# Interpreters refuse fused steps
-# --------------------------------------------------------------------- #
-def test_plain_local_executor_refuses_fused_steps():
-    adj = _graph()
-    batches = _batches(adj)
-    sampler = SageSampler()
-    plan = optimize(sampler.plan((4,)))
-    ex = LocalExecutor(
-        sampler, adj, batches, np.random.default_rng(0),
-        get_kernel("hash").spgemm,
-    )
-    with pytest.raises(TypeError, match="compiled"):
-        ex.run(plan)
-
-
-def test_plain_partitioned_executor_refuses_fused_steps():
-    adj = _graph()
-    batches = _batches(adj)
-    grid = ProcessGrid(2, 1)
-    blocks = BlockRows.partition(adj, grid.n_rows)
-    sampler = SageSampler()
-    ex = PartitionedExecutor(
-        Communicator(2), grid, sampler, blocks, batches, 0
-    )
-    with pytest.raises(TypeError, match="Compiled"):
-        ex.run(optimize(sampler.plan((4,))))
-
-
-# --------------------------------------------------------------------- #
 # In-place NORM bit-equality
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize(
@@ -378,86 +332,6 @@ def test_norm_inplace_matches_norm(sampler):
     assert np.array_equal(expected.indptr, got.indptr)
     assert np.array_equal(expected.indices, got.indices)
     assert np.array_equal(expected.data, got.data)
-
-
-# --------------------------------------------------------------------- #
-# ProbCache
-# --------------------------------------------------------------------- #
-def test_prob_cache_hits_across_bulks_sharing_frontier():
-    adj = _graph()
-    batches = _batches(adj)
-    sampler = SageSampler(kernel="compiled")
-    cache = ProbCache()
-    baseline = sampler.sample_bulk(
-        adj, batches, (5, 3), np.random.default_rng(7)
-    )
-    first = sampler.sample_bulk(
-        adj, batches, (5, 3), np.random.default_rng(7), prob_cache=cache
-    )
-    assert cache.misses > 0 and cache.hits == 0
-    misses_after_first = cache.misses
-    second = sampler.sample_bulk(
-        adj, batches, (5, 3), np.random.default_rng(7), prob_cache=cache
-    )
-    # Layer 0 shares the batch frontier across calls and must hit; deeper
-    # layers depend on sampled frontiers (same rng seed -> same frontier,
-    # so they hit too).
-    assert cache.hits > 0
-    assert cache.misses == misses_after_first
-    _layers_equal(baseline, first)
-    _layers_equal(baseline, second)
-
-
-def test_prob_cache_keyed_by_frontier_identity():
-    adj = _graph()
-    sampler = SageSampler(kernel="compiled")
-    cache = ProbCache()
-    b1 = _batches(adj, seed=1)
-    b2 = _batches(adj, seed=2)
-    sampler.sample_bulk(adj, b1, (4,), np.random.default_rng(0), prob_cache=cache)
-    assert cache.hits == 0
-    # A different frontier must not hit.
-    sampler.sample_bulk(adj, b2, (4,), np.random.default_rng(0), prob_cache=cache)
-    assert cache.hits == 0
-    # The same frontier (fresh arrays, same values) must hit.
-    b1_copy = [b.copy() for b in b1]
-    sampler.sample_bulk(
-        adj, b1_copy, (4,), np.random.default_rng(0), prob_cache=cache
-    )
-    assert cache.hits == 1
-
-
-def test_prob_cache_global_source_keyed_by_batch_count():
-    adj = _graph()
-    sampler = FastGCNSampler(kernel="compiled")
-    cache = ProbCache()
-    b1 = _batches(adj, k=3, seed=1)
-    b2 = _batches(adj, k=3, seed=9)  # different vertices, same count
-    out1 = sampler.sample_bulk(
-        adj, b1, (8,), np.random.default_rng(0), prob_cache=cache
-    )
-    assert cache.hits == 0
-    sampler.sample_bulk(adj, b2, (8,), np.random.default_rng(0), prob_cache=cache)
-    # The global importance stack depends only on the batch count.
-    assert cache.hits == 1
-    # And hits are bit-identical to the uncached path.
-    baseline = sampler.sample_bulk(adj, b1, (8,), np.random.default_rng(0))
-    _layers_equal(baseline, out1)
-
-
-def test_prob_cache_lru_eviction_and_clear():
-    cache = ProbCache(max_entries=2)
-    cache.put("a", 1)
-    cache.put("b", 2)
-    assert cache.get("a") == 1  # refresh a
-    cache.put("c", 3)  # evicts b
-    assert cache.get("b") is None
-    assert cache.get("a") == 1
-    assert len(cache) == 2
-    cache.clear()
-    assert len(cache) == 0
-    with pytest.raises(ValueError):
-        ProbCache(max_entries=0)
 
 
 # --------------------------------------------------------------------- #
@@ -483,28 +357,36 @@ def test_compact_layer_from_mask_matches_extract_batch_layer():
     assert np.array_equal(want.dst_ids, got.dst_ids)
 
 
+class _RecordingKernel(KernelBackend):
+    """A backend whose general SpGEMM logs every call."""
+
+    name = "recording"
+
+    def __init__(self) -> None:
+        self.calls: list[int] = []
+
+    def general_spgemm(self, a, b):
+        self.calls.append(a.nnz)
+        return spgemm_hash(a, b)
+
+
 def test_selector_aware_spgemm_gather_is_bit_identical():
-    """A unit row selector on the left turns SpGEMM into a row gather:
-    same indptr/indices/data bytes as the general kernel, and the wrapped
-    kernel is never called."""
+    """A unit row selector on the left turns every backend's SpGEMM into
+    a row gather: same indptr/indices/data bytes as the general kernel,
+    and the general kernel is never called."""
     adj = _graph()
     rng = np.random.default_rng(9)
     rows = rng.choice(adj.shape[0], 50, replace=True)  # duplicates allowed
     q = SageSampler.make_q(rows, adj.shape[0])
-    calls = []
-
-    def recording(a, b):
-        calls.append((a.shape, b.shape))
-        return get_kernel("hash").spgemm(a, b)
-
-    wrapped = selector_aware_spgemm(recording)
-    got = wrapped(q, adj)
-    want = get_kernel("hash").spgemm(q, adj)
-    assert calls == []  # gather fast path, general kernel skipped
-    assert np.array_equal(want.indptr, got.indptr)
-    assert np.array_equal(want.indices, got.indices)
-    assert np.array_equal(want.data, got.data)
-    assert want.shape == got.shape
+    want = spgemm(q, adj)
+    recording = _RecordingKernel()
+    for backend in [KERNELS.get(n) for n in KERNELS.names()] + [recording]:
+        got = backend.spgemm(q, adj)
+        assert np.array_equal(want.indptr, got.indptr)
+        assert np.array_equal(want.indices, got.indices)
+        assert np.array_equal(want.data, got.data)
+        assert want.shape == got.shape
+    assert recording.calls == []  # gather fast path, general kernel skipped
 
 
 def test_selector_aware_spgemm_falls_through_for_non_selectors():
@@ -513,30 +395,26 @@ def test_selector_aware_spgemm_falls_through_for_non_selectors():
     adj = _graph()
     batches = _batches(adj)
     q_ind = LadiesSampler.make_q(batches, adj.shape[0])
-    calls = []
-
-    def recording(a, b):
-        calls.append(a.nnz)
-        return get_kernel("hash").spgemm(a, b)
-
-    wrapped = selector_aware_spgemm(recording)
-    out = wrapped(q_ind, adj)
-    assert len(calls) == 1
-    assert out.equal(get_kernel("hash").spgemm(q_ind, adj), 0.0)
+    backend = _RecordingKernel()
+    out = backend.spgemm(q_ind, adj)
+    assert len(backend.calls) == 1
+    assert out.equal(spgemm_hash(q_ind, adj), 0.0)
 
     q_sel = SageSampler.make_q(np.arange(10), adj.shape[0])
     weighted = type(q_sel)(
         q_sel.indptr, q_sel.indices, q_sel.data * 2.0, q_sel.shape
     )
-    wrapped(weighted, adj)
-    assert len(calls) == 2
+    backend.spgemm(weighted, adj)
+    assert len(backend.calls) == 2
 
 
 def test_compiled_executor_nulls_q_next():
+    """A fused SAMPLE+EXTRACT drops the selection once extracted, so an
+    (optimizer-excluded) later read would fail loudly."""
     adj = _graph()
     batches = _batches(adj)
     sampler = SageSampler()
-    ex = CompiledLocalExecutor(
+    ex = LocalExecutor(
         sampler, adj, batches, np.random.default_rng(0),
         get_kernel("hash").spgemm,
     )
@@ -545,8 +423,8 @@ def test_compiled_executor_nulls_q_next():
 
 
 # --------------------------------------------------------------------- #
-# End-to-end: compiled == interpreted (spot check; the golden and
-# differential suites are the full surface)
+# End-to-end: run(optimize(plan)) == run(plan) on the one executor (spot
+# check; the golden and differential suites are the full surface)
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize(
     "factory,fanout",
@@ -567,13 +445,22 @@ def test_compiled_executor_nulls_q_next():
 def test_compiled_local_matches_interpreted(factory, fanout):
     adj = _graph(seed=3)
     batches = _batches(adj, k=4)
-    want = factory().sample_bulk(
-        adj, batches, fanout, np.random.default_rng(11)
-    )
     sampler = factory()
-    sampler.kernel = "compiled"
-    got = sampler.sample_bulk(adj, batches, fanout, np.random.default_rng(11))
-    _layers_equal(want, got)
+    plan = sampler.plan(fanout)
+    assert optimize(plan).steps != plan.steps  # something was fused
+
+    def run(program):
+        return LocalExecutor(
+            sampler, adj, batches, np.random.default_rng(11),
+            get_kernel("esc").spgemm,
+        ).run(program)
+
+    want = run(plan)
+    _layers_equal(want, run(optimize(plan)))
+    _layers_equal(
+        want,
+        sampler.sample_bulk(adj, batches, fanout, np.random.default_rng(11)),
+    )
 
 
 def test_compiled_partitioned_matches_interpreted():
@@ -581,12 +468,17 @@ def test_compiled_partitioned_matches_interpreted():
     batches = _batches(adj, k=4)
     grid = ProcessGrid(2, 2)
     blocks = BlockRows.partition(adj, grid.n_rows)
-    want, _ = partitioned_bulk_sampling(
-        Communicator(2), grid, SageSampler(), blocks, batches, (5, 3),
-        seed=7,
-    )
+    sampler = SageSampler()
+    plan = sampler.plan((5, 3))
+
+    def run(program):
+        return PartitionedExecutor(
+            Communicator(2), grid, sampler, blocks, batches, 7
+        ).run(program)
+
+    want = run(plan)
+    _layers_equal(want, run(optimize(plan)))
     got, _ = partitioned_bulk_sampling(
-        Communicator(2), grid, SageSampler(), blocks, batches, (5, 3),
-        seed=7, kernel="compiled",
+        Communicator(2), grid, sampler, blocks, batches, (5, 3), seed=7,
     )
     _layers_equal(want, got)

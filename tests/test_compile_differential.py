@@ -1,14 +1,16 @@
-"""Differential plan-fuzzing: compiled execution == interpretation, always.
+"""Differential plan-fuzzing: ``run(optimize(plan)) == run(plan)``, always.
 
 Hypothesis generates random *valid* sampling plans — stage-structured
 mixes of node-wise, layer-wise, global and random-walk stages with dead
 steps injected, fusion-blocking double extractions, debiasing, destination
 unioning, both NORM styles and both sample backends — and executes each
-one on a random graph through every kernel backend.  The compiled path
-(optimizer passes + fused row-wise kernels + the plain interpreter for
-whatever stays unfused) must produce **byte-identical** samples to the
-plain interpreters, for the local executor and for the 1.5D partitioned
-executor.
+one on a random graph, plain and optimized, on the one executor per grid
+and under two independent SpGEMM kernels.  The optimized plan (dead steps
+dropped, PROB+NORM and SAMPLE+EXTRACT fused) must produce
+**byte-identical** samples to the plain plan, for the local executor and
+for the 1.5D partitioned executor; on the grid it must also charge the
+same per-phase simulated time and send the same bytes whenever no dead
+step was dropped.
 
 The plans are run by a :class:`FuzzSampler` assembled from the real
 samplers' own primitives (GraphSAGE compaction, LADIES row/column
@@ -35,15 +37,17 @@ from repro.core import (
     SageSampler,
     batch_rng,
 )
+from repro.core.compile import eliminate_dead_steps, optimize
 from repro.core.plan import (
     ExtractStep,
+    LocalExecutor,
     NormStep,
     ProbStep,
     SampleStep,
     SamplingPlan,
 )
 from repro.core.sampler_base import MatrixSampler
-from repro.distributed.partitioned import partitioned_bulk_sampling
+from repro.distributed.partitioned import PartitionedExecutor
 from repro.graphs import rmat
 from repro.partition import BlockRows
 from repro.sparse import (
@@ -53,11 +57,11 @@ from repro.sparse import (
     row_normalize_inplace,
     row_selector,
 )
+from repro.sparse.kernels import get_kernel
 
-# Kernel names under differential test: esc and hash are independent
-# interpreted SpGEMM implementations, compiled is hash's SpGEMM plus the
-# plan optimizer and fused executors.
-KERNELS_UNDER_TEST = ("esc", "hash", "compiled")
+# Kernel names under differential test: two independent general SpGEMM
+# implementations.
+KERNELS_UNDER_TEST = ("esc", "hash")
 
 GRAPHS = [
     rmat(7, 6, np.random.default_rng(101)),
@@ -114,6 +118,7 @@ class FuzzSampler(MatrixSampler):
 
     # Production primitives, by reference.
     extract_batch_layer = SageSampler.extract_batch_layer
+    extract_batch_layer_from_mask = SageSampler.extract_batch_layer_from_mask
     row_extract = staticmethod(LadiesSampler.row_extract)
     col_extract = LadiesSampler.col_extract
     debias_layer = staticmethod(LadiesSampler.debias_layer)
@@ -125,8 +130,8 @@ class FuzzSampler(MatrixSampler):
 
 
 class FuzzSamplerCustomExtract(FuzzSampler):
-    """Overrides ``extract_batch_layer``: the compiled executor must take
-    the mask-materialization fallback instead of the fully lowered compact
+    """Overrides ``extract_batch_layer``: the executors must take the
+    mask-materialization fallback instead of the fully lowered compact
     kernel, and still match bit for bit."""
 
     def extract_batch_layer(self, q_next_rows, dst_ids):
@@ -139,7 +144,7 @@ class FuzzSamplerCustomExtract(FuzzSampler):
 def _stage_steps(stage, draw_dead):
     """One plan stage: PROB [+NORM] + SAMPLE + EXTRACT, with optional dead
     PROB/NORM prefixes (overwritten before any read — DSE fodder that the
-    interpreter must execute neutrally)."""
+    plain plan must execute neutrally)."""
     kind = stage["kind"]
     steps = []
     if draw_dead:
@@ -274,7 +279,7 @@ def _digest(samples):
 
 
 # --------------------------------------------------------------------- #
-# Local differential: esc == hash == compiled on every generated plan
+# Local differential: plain == optimized, esc == hash, on every plan
 # --------------------------------------------------------------------- #
 @settings(max_examples=150, deadline=None)
 @given(case=fuzz_cases())
@@ -290,14 +295,21 @@ def test_local_compiled_matches_interpreted(case):
     digests = {}
     for kernel in KERNELS_UNDER_TEST:
         sampler = _make_sampler(case, kernel)
+        plan = sampler.plan((1,))
+        for label, program in (("plain", plan), ("optimized", optimize(plan))):
+            ex = LocalExecutor(
+                sampler, adj, batches, rng_for(), get_kernel(kernel).spgemm
+            )
+            digests[kernel, label] = _digest(ex.run(program))
         out = sampler.sample_bulk(adj, batches, (1,), rng_for())
-        digests[kernel] = _digest(out)
-    assert digests["esc"] == digests["hash"] == digests["compiled"], digests
+        digests[kernel, "sample_bulk"] = _digest(out)
+    assert len(set(digests.values())) == 1, digests
 
 
 # --------------------------------------------------------------------- #
-# Partitioned differential: the 1.5D compiled executor matches the 1.5D
-# interpreter (and, transitively via the suite above, the local paths)
+# Partitioned differential: plain == optimized on the 1.5D executor (and,
+# transitively via the suite above, the local paths), with the same
+# simulated cost when no dead step was dropped
 # --------------------------------------------------------------------- #
 @settings(max_examples=60, deadline=None)
 @given(case=fuzz_cases(), grid_shape=st.sampled_from([(2, 1), (2, 2), (4, 1)]))
@@ -305,13 +317,18 @@ def test_partitioned_compiled_matches_interpreted(case, grid_shape):
     adj = GRAPHS[case["graph_idx"]]
     batches = _make_batches(case)
     p, c = grid_shape
-    digests = {}
-    for kernel in ("esc", "compiled"):
-        grid = ProcessGrid(p, c)
-        blocks = BlockRows.partition(adj, grid.n_rows)
-        out, _ = partitioned_bulk_sampling(
-            Communicator(p), grid, _make_sampler(case, kernel), blocks,
-            batches, (1,), seed=case["seed"], kernel=kernel,
-        )
-        digests[kernel] = _digest(out)
-    assert digests["esc"] == digests["compiled"], digests
+    grid = ProcessGrid(p, c)
+    blocks = BlockRows.partition(adj, grid.n_rows)
+    sampler = _make_sampler(case, "esc")
+    plan = sampler.plan((1,))
+    runs = {}
+    for label, program in (("plain", plan), ("optimized", optimize(plan))):
+        comm = Communicator(p)
+        out = PartitionedExecutor(
+            comm, grid, sampler, blocks, batches, case["seed"]
+        ).run(program)
+        sent = {ph: comm.ledger.sent(ph) for ph in comm.ledger.phases()}
+        runs[label] = (_digest(out), comm.clock.breakdown(), sent)
+    assert runs["plain"][0] == runs["optimized"][0], runs
+    if eliminate_dead_steps(plan).steps == plan.steps:
+        assert runs["plain"] == runs["optimized"], runs

@@ -371,3 +371,28 @@ class TestInstrumentAndAnalysis:
         )
         measured = comm.ledger.received("probability") / p
         assert 0.1 * pred.rowdata_bytes_per_rank < measured < 10 * pred.rowdata_bytes_per_rank
+
+
+#: Simulated sampling seconds of one replicated epoch (products 0.1, p=4,
+#: batch 16, hidden 16, seed 0), recorded under the esc kernel.
+REPLICATED_SAMPLING_S = {
+    "sage": 0.005242255876527331,
+    "ladies": 0.00543276407459807,
+}
+
+
+@pytest.mark.parametrize("sampler", sorted(REPLICATED_SAMPLING_S))
+def test_replicated_sampling_cost_is_kernel_independent(sampler):
+    """The kernel picks only the SpGEMM: every product — row gathers
+    included — goes through ``RecordingSpGEMM``, so the simulated
+    sampling time is the same under every registered kernel."""
+    from repro.api import Engine, RunConfig
+    from repro.sparse import KERNELS
+
+    for kernel in KERNELS.names():
+        cfg = RunConfig(
+            dataset="products", scale=0.1, train_split=0.5, p=4,
+            sampler=sampler, batch_size=16, hidden=16, seed=0, kernel=kernel,
+        )
+        stats = Engine(cfg).train_epoch(0)
+        assert stats.sampling == REPLICATED_SAMPLING_S[sampler], kernel

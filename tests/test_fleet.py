@@ -18,13 +18,12 @@ from repro.serve import (
     ConsistentHashRouter,
     DirectRouter,
     InferenceRequest,
-    Replica,
     RoundRobinRouter,
     ServingEngine,
     TraceWorkload,
     make_router,
 )
-from repro.stream import EdgeBatch, StreamingGraph, UpdateStream
+from repro.stream import StreamingGraph, UpdateStream
 
 
 @pytest.fixture(scope="module")
@@ -499,33 +498,6 @@ class TestFleetUpdates:
         rebuilt = server.stream.rebuild_from_scratch()
         reference = layerwise_inference(trained_engine.model, rebuilt)
         assert np.array_equal(server.serve(verts), reference[verts])
-
-    def test_absorb_update_clears_prob_cache(self, trained_engine):
-        """Satellite: ProbCache / EmbeddingCache interplay on one replica.
-        An update drops stale probability matrices AND the dirty rows'
-        embeddings, leaving clean rows cached."""
-        graph = copy.copy(trained_engine.graph)
-        cfg = trained_engine.config.replace(
-            stream_updates=True, embed_budget=65536.0, kernel="compiled"
-        )
-        stream = StreamingGraph(graph)
-        rep = Replica(trained_engine.model, graph, cfg)
-        rng = np.random.default_rng(0)
-        targets = np.unique(graph.test_idx[:8])
-        rep.logits_for(targets, rng)
-        assert len(rep.prob_cache) > 0  # warmed by the serve
-        assert len(rep.cache) > 0
-        v = int(graph.test_idx[0])
-        u = next(
-            w for w in range(graph.n)
-            if w != v and w not in set(graph.adj.row(v)[0].tolist())
-        )
-        result = stream.apply(EdgeBatch(np.array([v]), np.array([u]), "insert"))
-        spent = rep.absorb_update(result)
-        assert spent > 0  # charged to the replica's own clock
-        assert len(rep.prob_cache) == 0  # all probability matrices stale
-        assert rep.stats.invalidations > 0
-        assert rep.stats.evictions == 0  # churn is not budget pressure
 
     def test_frozen_fleet_rejects_update_workloads(self, trained_engine):
         server = _server(trained_engine, replicas=2, router="round_robin")

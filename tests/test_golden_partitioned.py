@@ -14,6 +14,11 @@ properties are pinned:
 3. **Executor parity** — partitioned output equals single-rank replicated
    output, for every plan-emitting sampler *including SAINT*, whose
    partitioned support is new and entirely derived from its plan.
+
+The optimized plan (what :func:`partitioned_bulk_sampling` runs) and the
+plain plan, run by the one :class:`PartitionedExecutor`, are pinned to
+the same samples, the same Figure-7 phase breakdown and the same bytes
+sent.
 """
 
 from __future__ import annotations
@@ -30,10 +35,12 @@ from repro.core import (
     LadiesSampler,
     SageSampler,
 )
+from repro.core.compile import optimize
 from repro.distributed import (
     partitioned_bulk_sampling,
     replicated_bulk_sampling,
 )
+from repro.distributed.partitioned import PartitionedExecutor
 from repro.graphs import rmat
 from repro.partition import BlockRows
 
@@ -86,7 +93,7 @@ def _bulk_digest(samples) -> str:
     return h.hexdigest()
 
 
-def _run_partitioned(name: str, p: int, c: int, kernel=None) -> str:
+def _run_partitioned(name: str, p: int, c: int) -> str:
     adj, batches = _graph_and_batches()
     factory = dict((n, f) for n, f, _ in SAMPLER_CASES)[name]
     fanout = dict((n, fo) for n, _, fo in SAMPLER_CASES)[name]
@@ -94,10 +101,29 @@ def _run_partitioned(name: str, p: int, c: int, kernel=None) -> str:
     blocks = BlockRows.partition(adj, grid.n_rows)
     samples, _ = partitioned_bulk_sampling(
         Communicator(p), grid, factory(), blocks, batches, fanout,
-        seed=DIST_SEED, kernel=kernel,
+        seed=DIST_SEED,
     )
     assert len(samples) == N_BATCHES
     return _bulk_digest(samples)
+
+
+def _run_executor(name: str, p: int, c: int, *, optimized: bool):
+    """Run the sampler's plain or optimized plan on a fresh
+    :class:`PartitionedExecutor`; returns (digest, phase breakdown,
+    bytes sent per phase)."""
+    adj, batches = _graph_and_batches()
+    factory = dict((n, f) for n, f, _ in SAMPLER_CASES)[name]
+    fanout = dict((n, fo) for n, _, fo in SAMPLER_CASES)[name]
+    sampler = factory()
+    plan = sampler.plan(fanout)
+    grid = ProcessGrid(p, c)
+    comm = Communicator(p)
+    samples = PartitionedExecutor(
+        comm, grid, sampler, BlockRows.partition(adj, grid.n_rows), batches,
+        DIST_SEED,
+    ).run(optimize(plan) if optimized else plan)
+    sent = {ph: comm.ledger.sent(ph) for ph in comm.ledger.phases()}
+    return _bulk_digest(samples), comm.clock.breakdown(), sent
 
 
 @pytest.mark.parametrize(
@@ -114,22 +140,34 @@ def test_matches_pre_refactor_implementation(name):
 )
 @pytest.mark.parametrize("p,c", [(4, 1), (4, 2), (2, 1)])
 def test_compiled_matches_pre_refactor_digests(name, p, c):
-    """The compiled partitioned executor (kernel="compiled": optimized
-    plan, fused per-row kernels) reproduces the pre-refactor digests bit
-    for bit at every grid shape — fusion changes execution, never output."""
-    assert (
-        _run_partitioned(name, p, c, kernel="compiled")
-        == PRE_REFACTOR_DIGESTS[name]
-    )
+    """The optimized plan (fused per-row kernels) reproduces the
+    pre-refactor digests bit for bit at every grid shape — fusion changes
+    execution, never output."""
+    digest, _, _ = _run_executor(name, p, c, optimized=True)
+    assert digest == PRE_REFACTOR_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", [c[0] for c in SAMPLER_CASES])
 def test_compiled_matches_interpreted_partitioned(name):
-    """Compiled == interpreted on the 1.5D grid for all four samplers
+    """Optimized == plain plan on the 1.5D grid for all four samplers
     (SAINT has no pre-refactor digest, so it's pinned by parity)."""
-    assert _run_partitioned(name, 4, 2, kernel="compiled") == _run_partitioned(
-        name, 4, 2
+    assert (
+        _run_executor(name, 4, 2, optimized=True)[0]
+        == _run_executor(name, 4, 2, optimized=False)[0]
+        == _run_partitioned(name, 4, 2)
     )
+
+
+@pytest.mark.parametrize("name", [c[0] for c in SAMPLER_CASES])
+def test_optimized_plan_keeps_figure7_phases(name):
+    """Fusion moves no simulated time or traffic between Figure-7 phases:
+    at p=8, c=2 the optimized plan charges the same per-phase breakdown
+    and sends the same bytes per phase as the plain plan — a fused
+    SAMPLE+EXTRACT still charges its extract half to ``extraction``."""
+    plain = _run_executor(name, 8, 2, optimized=False)
+    fused = _run_executor(name, 8, 2, optimized=True)
+    assert fused == plain
+    assert plain[1]["extraction"] > 0
 
 
 @pytest.mark.parametrize("name", [c[0] for c in SAMPLER_CASES])

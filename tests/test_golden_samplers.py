@@ -30,8 +30,10 @@ from repro.core import (
     LadiesSampler,
     SageSampler,
 )
+from repro.core.compile import optimize
+from repro.core.plan import LocalExecutor
 from repro.graphs import rmat
-from repro.sparse import KERNELS
+from repro.sparse import KERNELS, get_kernel
 
 SEED = 42
 N_BATCHES = 6
@@ -123,15 +125,23 @@ def test_golden_digest(name):
 
 @pytest.mark.parametrize("name", [c[0] for c in SAMPLER_CASES])
 def test_golden_digest_compiled(name):
-    """The plan compiler (kernel="compiled": optimizer passes + fused
-    row-wise kernels) reproduces every golden digest bit for bit.
-
-    The ``KERNELS.names()`` loops above already cover "compiled" via the
-    registry; this explicit pin survives even if the sweep logic changes,
-    because bit-identity is the compiler's acceptance contract.
-    """
-    assert "compiled" in KERNELS.names()
-    assert _run(name, "compiled") == GOLDEN_DIGESTS[name]
+    """Every plan is compiled: ``sample_bulk`` runs ``optimize(plan)``
+    (dead-step elimination, fused PROB+NORM / SAMPLE+EXTRACT).  Run by the
+    one :class:`LocalExecutor`, both the optimized and the plain plan
+    reproduce every golden digest bit for bit — the optimizer changes
+    execution, never output."""
+    adj, batches = _graph_and_batches()
+    factory = dict((n, f) for n, f, _ in SAMPLER_CASES)[name]
+    fanout = dict((n, fo) for n, _, fo in SAMPLER_CASES)[name]
+    sampler = factory(None)
+    plan = sampler.plan(fanout)
+    assert optimize(plan).steps != plan.steps
+    for program in (plan, optimize(plan)):
+        ex = LocalExecutor(
+            sampler, adj, batches, np.random.default_rng(SEED),
+            get_kernel("esc").spgemm,
+        )
+        assert _bulk_digest(ex.run(program)) == GOLDEN_DIGESTS[name]
 
 
 def test_run_twice_is_deterministic():

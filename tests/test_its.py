@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import gumbel_topk_rows, its_flops, its_sample_rows
-from repro.sparse import CSRMatrix, row_normalize, sprand
+from repro.core import (
+    SageSampler,
+    batch_rng,
+    gumbel_topk_rows,
+    its_flops,
+    its_sample_rows,
+)
+from repro.sparse import CSRMatrix, row_normalize, sprand, vstack
 
 
 class TestBasics:
@@ -162,3 +168,46 @@ def test_property_counts_and_support(n_rows, s, seed):
     assert np.all(support[rows, cols])
     per_row_support = support.sum(axis=1)
     assert np.array_equal(q.nnz_per_row(), np.minimum(s, per_row_support))
+
+
+class TestOneRngLoop:
+    """``MatrixSampler.sample`` / ``sample_stacked`` are a CSR build over
+    ``sample_mask`` / ``sample_stacked_mask``; the standalone
+    ``its_sample_rows`` / ``gumbel_topk_rows`` are the reference."""
+
+    @staticmethod
+    def _same(a, b):
+        assert a.shape == b.shape
+        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices),
+                     (a.data, b.data)):
+            assert x.dtype == y.dtype
+            assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("s", [1, 3, 17])
+    @pytest.mark.parametrize("backend", ["its", "gumbel"])
+    def test_sample_matches_reference(self, backend, s):
+        reference = its_sample_rows if backend == "its" else gumbel_topk_rows
+        sampler = SageSampler(sample_backend=backend)
+        p = row_normalize(sprand(60, 80, 0.15, np.random.default_rng(s)))
+        empty = CSRMatrix.zeros((4, 80))
+        for mat in (p, empty):
+            got = sampler.sample(mat, s, np.random.default_rng(9))
+            self._same(got, reference(mat, s, np.random.default_rng(9)))
+
+    @pytest.mark.parametrize("s", [1, 3, 17])
+    @pytest.mark.parametrize("backend", ["its", "gumbel"])
+    def test_sample_stacked_matches_reference(self, backend, s):
+        reference = its_sample_rows if backend == "its" else gumbel_topk_rows
+        sampler = SageSampler(sample_backend=backend)
+        p = row_normalize(sprand(60, 80, 0.15, np.random.default_rng(s)))
+        bounds = [0, 7, 7, 40, 60]  # one empty block
+        rngs = [batch_rng(5, i) for i in range(4)]
+        got = sampler.sample_stacked(p, s, rngs, bounds)
+        want = vstack([
+            reference(p.row_block(bounds[i], bounds[i + 1]), s,
+                      batch_rng(5, i))
+            for i in range(4)
+        ])
+        self._same(got, want)
+        single = sampler.sample_stacked(p, s, np.random.default_rng(3), bounds)
+        self._same(single, reference(p, s, np.random.default_rng(3)))
