@@ -177,7 +177,10 @@ class Replica:
         ), self.clock.phase("graph_update"):
             cost = result.sim_cost
             # Log absorb + dirty-row re-merge: hash/searchsorted per edge,
-            # then a splice that rewrites the merged rows (16B/entry, r+w).
+            # then a splice that rewrites every row dirty since the last
+            # compaction (16B/entry, r+w).  This is the simulated device's
+            # charge, not the host's work, which re-merges only the rows
+            # changed since the previous view.
             self.clock.advance(
                 0,
                 self.cost.compute(

@@ -4,10 +4,12 @@ Everything upstream of this module — the samplers, the plan executors, the
 feature and embedding caches — consumes a *frozen* :class:`~repro.sparse.CSRMatrix`.
 Production graphs mutate under traffic, so :class:`DeltaCSR` gives them a
 frozen view of a moving target: edge insertions and deletions accumulate in
-a per-row delta log, :meth:`view` splices the changed rows into the base
-CSR (only dirty rows are re-merged; clean rows are block-copied), and once
-the log crosses ``compaction_threshold`` of the base size the overlay
-*compacts* into a fresh frozen CSR.
+a per-row delta log, :meth:`view` splices the rows changed since the
+*previous* view into that view (each such row is re-merged from its base row
+and its own log entries; every other row is block-copied), so a refresh
+costs O(rows changed since the last view), not O(rows dirty since the last
+compaction).  Once the log crosses ``compaction_threshold`` of the base size
+the overlay *compacts* into a fresh frozen CSR.
 
 Two invariants make the overlay safe to put under the sampling stack:
 
@@ -28,6 +30,7 @@ of distinct touched edges, not the number of operations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +45,9 @@ class EdgeBatch:
     """One batch of edge mutations arriving at simulated time ``at``.
 
     ``op`` is ``"insert"`` or ``"delete"``; ``src``/``dst`` are equal-length
-    vertex arrays (edge ``src[i] -> dst[i]``), ``vals`` optional insert
-    weights (default 1.0, ignored for deletes).
+    integer vertex arrays (edge ``src[i] -> dst[i]``), ``vals`` optional
+    finite insert weights (default 1.0, ignored for deletes) and ``at`` a
+    finite, non-negative arrival time.
     """
 
     src: np.ndarray
@@ -55,8 +59,8 @@ class EdgeBatch:
     def __post_init__(self) -> None:
         if self.op not in ("insert", "delete"):
             raise ValueError(f"unknown edge op {self.op!r}; use insert or delete")
-        src = np.asarray(self.src, dtype=np.int64)
-        dst = np.asarray(self.dst, dtype=np.int64)
+        src = _vertex_ids("src", self.src)
+        dst = _vertex_ids("dst", self.dst)
         if src.ndim != 1 or src.shape != dst.shape:
             raise ValueError("src and dst must be equal-length 1-D arrays")
         object.__setattr__(self, "src", src)
@@ -65,13 +69,38 @@ class EdgeBatch:
             vals = np.asarray(self.vals, dtype=np.float64)
             if vals.shape != src.shape:
                 raise ValueError("vals must align with src/dst")
+            bad = ~np.isfinite(vals)
+            if bad.any():
+                i = int(np.flatnonzero(bad)[0])
+                raise ValueError(
+                    f"edge weights must be finite, got vals[{i}] = {vals[i]}"
+                )
             object.__setattr__(self, "vals", vals)
-        if self.at < 0:
-            raise ValueError(f"arrival time must be non-negative, got {self.at}")
+        if not (math.isfinite(self.at) and self.at >= 0):
+            raise ValueError(
+                f"arrival time must be finite and non-negative, got {self.at}"
+            )
 
     @property
     def n_edges(self) -> int:
         return int(self.src.size)
+
+
+def _vertex_ids(name: str, values) -> np.ndarray:
+    """``values`` as int64 vertex ids; non-integral entries are rejected
+    rather than truncated (``0.5`` must not silently become vertex 0)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu":
+        return arr.astype(np.int64, copy=False)
+    as_float = arr.astype(np.float64)
+    bad = ~(np.isfinite(as_float) & (as_float == np.round(as_float)))
+    if bad.any():
+        i = int(np.flatnonzero(bad.ravel())[0])
+        raise ValueError(
+            f"edge {name} must hold integer vertex ids, got "
+            f"{name}[{i}] = {as_float.ravel()[i]}"
+        )
+    return as_float.astype(np.int64)
 
 
 @dataclass
@@ -103,10 +132,17 @@ class DeltaCSR:
             raise ValueError("compaction_threshold must be positive")
         self.base = base
         self.compaction_threshold = float(compaction_threshold)
-        # Final outcome per touched edge: value (insert) or None (delete).
-        self._ops: dict[tuple[int, int], float | None] = {}
+        # Final outcome per touched edge, by row then column: the value
+        # (insert) or None (delete).  A row's map never holds an entry that
+        # restores the base, and an emptied map is dropped.
+        self._log: dict[int, dict[int, float | None]] = {}
+        self._pending = 0  # entries in the log, kept by apply()/compact()
+        # Rows dirty since the last compaction (the simulated re-merge
+        # charge) and rows changed since the previous view (the host work
+        # of the next refresh).
         self._dirty_rows: set[int] = set()
-        self._view: CSRMatrix | None = base
+        self._changed_rows: set[int] = set()
+        self._view: CSRMatrix = base
         self.compactions = 0
 
     # ------------------------------------------------------------------ #
@@ -123,7 +159,7 @@ class DeltaCSR:
     @property
     def pending(self) -> int:
         """Distinct edges with an outstanding (un-compacted) mutation."""
-        return len(self._ops)
+        return self._pending
 
     @property
     def compaction_limit(self) -> int:
@@ -132,17 +168,11 @@ class DeltaCSR:
 
     @property
     def dirty_row_ids(self) -> np.ndarray:
-        """Sorted rows the next :meth:`view` must re-merge."""
+        """Sorted rows changed since the last compaction — the rows a
+        from-base re-merge would rewrite, which the simulated update cost
+        charges.  :meth:`view` itself re-merges only the rows changed since
+        the previous view."""
         return np.array(sorted(self._dirty_rows), dtype=np.int64)
-
-    def _has_edge(self, u: int, v: int) -> bool:
-        """Edge existence in the *current* (base + log) graph."""
-        key = (u, v)
-        if key in self._ops:
-            return self._ops[key] is not None
-        cols, _ = self.base.row(u)
-        i = int(np.searchsorted(cols, v))
-        return i < cols.size and cols[i] == v
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -175,7 +205,6 @@ class DeltaCSR:
         applied = skipped = 0
         for i in range(batch.n_edges):
             u, v = int(batch.src[i]), int(batch.dst[i])
-            key = (u, v)
             if inserting:
                 val = float(vals[i])
                 if self._edge_value(u, v) == val:
@@ -183,7 +212,7 @@ class DeltaCSR:
                     continue
                 new_op = val
             else:
-                if not self._has_edge(u, v):
+                if self._edge_value(u, v) is None:
                     if strict:
                         raise ValueError(
                             f"cannot delete edge {u} -> {v}: not present in "
@@ -193,17 +222,22 @@ class DeltaCSR:
                     skipped += 1
                     continue
                 new_op = None
-            # Record the final outcome; drop ops that restore the base.
-            base_val = self._base_value(u, v)
-            if new_op == base_val:
-                self._ops.pop(key, None)
+            # Record the final outcome; an op that restores the base value
+            # cancels the row's log entry (which must exist, since the
+            # current value differs from the new one).
+            row = self._log.setdefault(u, {})
+            if new_op == self._base_value(u, v):
+                del row[v]
+                self._pending -= 1
+                if not row:
+                    del self._log[u]
             else:
-                self._ops[key] = new_op
+                self._pending += v not in row
+                row[v] = new_op
             dirty.add(u)
             applied += 1
-        if dirty:
-            self._dirty_rows.update(dirty)
-            self._view = None  # stale: next view() re-splices
+        self._dirty_rows.update(dirty)
+        self._changed_rows.update(dirty)  # stale: next view() re-splices
         return UpdateResult(
             dirty_rows=np.array(sorted(dirty), dtype=np.int64),
             applied=applied,
@@ -231,9 +265,10 @@ class DeltaCSR:
         return None
 
     def _edge_value(self, u: int, v: int) -> float | None:
-        key = (u, v)
-        if key in self._ops:
-            return self._ops[key]
+        """Edge value in the *current* (base + log) graph; None if absent."""
+        row = self._log.get(u)
+        if row is not None and v in row:
+            return row[v]
         return self._base_value(u, v)
 
     # ------------------------------------------------------------------ #
@@ -242,64 +277,64 @@ class DeltaCSR:
     def view(self) -> CSRMatrix:
         """The current graph as a canonical frozen CSR.
 
-        Cached between mutations.  Rebuilds only the rows in the dirty set:
-        clean row segments are copied from the base in one vectorized move,
-        dirty rows are merged (base row minus deletes/overwrites, plus
-        inserts, column-sorted) and spliced in.
+        Cached between mutations.  A refresh splices the rows changed since
+        the *previous* view into that view: each changed row is re-merged
+        (its base row minus deletes/overwrites, plus inserts, column-sorted)
+        from its own log entries, and the clean segments between changed
+        rows are copied from the previous view en bloc.  The previous view
+        is never written, so callers holding it keep a valid matrix.
         """
-        if self._view is not None:
+        if not self._changed_rows:
             return self._view
-        base = self.base
-        merged: dict[int, tuple[np.ndarray, np.ndarray]] = {
-            r: self._merge_row(r) for r in self._dirty_rows
-        }
-        counts = base.nnz_per_row().copy()
-        for r, (cols, _) in merged.items():
-            counts[r] = cols.size
-        indptr = np.zeros(base.shape[0] + 1, dtype=np.int64)
+        prev = self._view
+        changed = sorted(self._changed_rows)
+        merged = [self._merge_row(r) for r in changed]
+        counts = prev.nnz_per_row()
+        counts[changed] = [cols.size for cols, _ in merged]
+        indptr = np.zeros(prev.shape[0] + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         indices = np.empty(int(indptr[-1]), dtype=np.int64)
         data = np.empty(int(indptr[-1]), dtype=np.float64)
-        # Copy clean segments between consecutive dirty rows en bloc.
-        dirty_sorted = sorted(self._dirty_rows)
-        prev = 0
-        for r in dirty_sorted:
-            self._copy_clean(base, indptr, indices, data, prev, r)
-            cols, vals = merged[r]
+        start = 0
+        for r, (cols, vals) in zip(changed, merged):
+            self._copy_clean(prev, indptr, indices, data, start, r)
             lo = indptr[r]
             indices[lo : lo + cols.size] = cols
             data[lo : lo + cols.size] = vals
-            prev = r + 1
-        self._copy_clean(base, indptr, indices, data, prev, base.shape[0])
-        self._view = CSRMatrix(indptr, indices, data, base.shape)
+            start = r + 1
+        self._copy_clean(prev, indptr, indices, data, start, prev.shape[0])
+        self._view = CSRMatrix(indptr, indices, data, prev.shape)
+        self._changed_rows.clear()
         return self._view
 
     @staticmethod
     def _copy_clean(
-        base: CSRMatrix,
+        src: CSRMatrix,
         indptr: np.ndarray,
         indices: np.ndarray,
         data: np.ndarray,
         start: int,
         stop: int,
     ) -> None:
+        """Copy rows ``[start, stop)`` of ``src`` to where ``indptr`` puts
+        them (their lengths are unchanged, so it is one slice move)."""
         if start >= stop:
             return
-        src_lo, src_hi = base.indptr[start], base.indptr[stop]
+        src_lo, src_hi = src.indptr[start], src.indptr[stop]
         dst_lo = indptr[start]
         span = src_hi - src_lo
-        indices[dst_lo : dst_lo + span] = base.indices[src_lo:src_hi]
-        data[dst_lo : dst_lo + span] = base.data[src_lo:src_hi]
+        indices[dst_lo : dst_lo + span] = src.indices[src_lo:src_hi]
+        data[dst_lo : dst_lo + span] = src.data[src_lo:src_hi]
 
     def _merge_row(self, r: int) -> tuple[np.ndarray, np.ndarray]:
         """Row ``r`` of base merged with its pending ops, column-sorted."""
         cols, vals = self.base.row(r)
-        ops = [(v, op) for (u, v), op in self._ops.items() if u == r]
+        ops = self._log.get(r)
         if not ops:
-            return cols.copy(), vals.copy()
-        touched = np.array([v for v, _ in ops], dtype=np.int64)
+            return cols, vals
+        touched = np.fromiter(ops, dtype=np.int64, count=len(ops))
         keep = ~np.isin(cols, touched)
-        ins = [(v, op) for v, op in ops if op is not None]
+        ins = [(v, op) for v, op in ops.items() if op is not None]
         out_cols = np.concatenate(
             [cols[keep], np.array([v for v, _ in ins], dtype=np.int64)]
         )
@@ -333,9 +368,9 @@ class DeltaCSR:
             )
         spliced.check()
         self.base = spliced
-        self._ops.clear()
+        self._log.clear()
+        self._pending = 0
         self._dirty_rows.clear()
-        self._view = spliced
         self.compactions += 1
         return spliced
 
@@ -349,22 +384,22 @@ class DeltaCSR:
     def _rebuild_from_scratch(self) -> CSRMatrix:
         """The current edge set built through the independent COO path."""
         rows, cols, vals = self.base.to_coo()
-        if self._ops:
-            touched = np.array(sorted(self._ops), dtype=np.int64).reshape(-1, 2)
+        ops = [(u, v, op) for u, row in self._log.items() for v, op in row.items()]
+        if ops:
             width = self.base.shape[1]
-            op_keys = touched[:, 0] * width + touched[:, 1]
+            op_keys = np.array([u * width + v for u, v, _ in ops], dtype=np.int64)
             keep = ~np.isin(rows * width + cols, op_keys)
             rows, cols, vals = rows[keep], cols[keep], vals[keep]
-            ins = [(k, v) for k, v in self._ops.items() if v is not None]
+            ins = [(u, v, op) for u, v, op in ops if op is not None]
             if ins:
                 rows = np.concatenate(
-                    [rows, np.array([u for (u, _), _ in ins], dtype=np.int64)]
+                    [rows, np.array([u for u, _, _ in ins], dtype=np.int64)]
                 )
                 cols = np.concatenate(
-                    [cols, np.array([c for (_, c), _ in ins], dtype=np.int64)]
+                    [cols, np.array([v for _, v, _ in ins], dtype=np.int64)]
                 )
                 vals = np.concatenate(
-                    [vals, np.array([v for _, v in ins], dtype=np.float64)]
+                    [vals, np.array([op for _, _, op in ins], dtype=np.float64)]
                 )
         return CSRMatrix.from_coo(
             rows, cols, vals, self.base.shape, sum_duplicates=False

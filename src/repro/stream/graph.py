@@ -66,7 +66,10 @@ class StreamStats:
     skipped: int = 0  # duplicate inserts / missing deletes
     compactions: int = 0
     dirty_vertices: int = 0  # sum of per-batch dirty-row counts
-    merged_rows: int = 0  # rows re-merged across view refreshes
+    # Rows dirty since the last compaction, summed over batches: the
+    # *simulated* re-merge charge, not host work (a view refresh re-merges
+    # only the rows changed since the previous view).
+    merged_rows: int = 0
 
     def row(self) -> dict[str, object]:
         return {
@@ -86,7 +89,7 @@ class StreamStats:
             ("stream_skipped_total", "duplicate inserts / missing deletes", self.skipped),
             ("stream_compactions_total", "delta-log compactions", self.compactions),
             ("stream_dirty_vertices_total", "dirty rows across batches", self.dirty_vertices),
-            ("stream_merged_rows_total", "rows re-merged on view refreshes", self.merged_rows),
+            ("stream_merged_rows_total", "simulated re-merge charge: rows dirty since the last compaction, summed per batch", self.merged_rows),
         ):
             registry.counter(name, help_text, **labels).set(value)
 
@@ -147,8 +150,11 @@ class StreamingGraph:
             compacted_nnz = self.graph.adj.nnz
             for hook in self.compaction_hooks:
                 hook(self.graph.adj)
-        # What the simulated clock should charge: log absorb + dirty-row
-        # re-merge, plus (rarely) the full canonicalizing compaction.
+        # What the simulated clock should charge: log absorb + a re-merge
+        # of every row dirty since the last compaction (``merged_nnz``, the
+        # simulated device's cost model — the host splices only the rows
+        # changed since the previous view), plus (rarely) the full
+        # canonicalizing compaction.
         result.sim_cost = {
             "batch_edges": float(batch.n_edges),
             "merged_nnz": float(merged_nnz),

@@ -7,6 +7,7 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import Engine, RunConfig
 from repro.comm import Communicator, ProcessGrid
@@ -75,6 +76,31 @@ class TestEdgeBatch:
         b = EdgeBatch(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
         assert b.src.dtype == np.int64 and b.dst.dtype == np.int64
         assert b.n_edges == 2
+        assert EdgeBatch([], []).n_edges == 0
+
+    @pytest.mark.parametrize("at", [float("nan"), float("inf")])
+    def test_rejects_non_finite_arrival(self, at):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            EdgeBatch(np.array([1]), np.array([2]), at=at)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_weights(self, bad):
+        # A NaN weight never equals itself, so it used to count as a fresh
+        # insert on every repeat and break the next compaction's parity.
+        with pytest.raises(ValueError, match=r"finite, got vals\[1\]"):
+            EdgeBatch([0, 1], [1, 2], vals=np.array([1.0, bad]))
+
+    @pytest.mark.parametrize(
+        "src, dst, where",
+        [
+            ([0.5], [1], r"src\[0\] = 0.5"),
+            ([0, 1], [1.0, 2.25], r"dst\[1\] = 2.25"),
+            ([float("nan")], [1], r"src\[0\] = nan"),
+        ],
+    )
+    def test_rejects_non_integral_endpoints(self, src, dst, where):
+        with pytest.raises(ValueError, match=f"integer vertex ids.*{where}"):
+            EdgeBatch(src, dst)
 
 
 class TestDeltaCSR:
@@ -221,6 +247,121 @@ class TestDeltaCSR:
         d = DeltaCSR(_small_base())
         d.insert_edges([0], [5])
         assert d.view() is d.view()
+
+    def test_refresh_merges_only_rows_changed_since_previous_view(
+        self, monkeypatch
+    ):
+        """A view refresh re-merges the rows changed since the previous
+        view — not every row dirtied since the last compaction."""
+        calls: list[int] = []
+        merge = DeltaCSR._merge_row
+
+        def counting(self, r):
+            calls.append(r)
+            return merge(self, r)
+
+        monkeypatch.setattr(DeltaCSR, "_merge_row", counting)
+        base = _small_base(n=16, degree=4, seed=5)
+        d = DeltaCSR(base, compaction_threshold=1e6)  # never compacts
+        reference = _edge_set(base)
+        rng = np.random.default_rng(9)
+        since_view: set[int] = set()
+        for step in range(40):
+            rows = rng.integers(0, 16, 3)
+            cols = (rows + rng.integers(1, 16, 3)) % 16
+            vals = rng.integers(1, 4, 3).astype(np.float64)
+            res = d.insert_edges(rows, cols, vals)
+            reference.update(
+                {(int(u), int(v)): w for u, v, w in zip(rows, cols, vals)}
+            )
+            since_view |= set(res.dirty_rows.tolist())
+            if step % 3 == 2:
+                calls.clear()
+                view = d.view()
+                assert sorted(calls) == sorted(since_view)
+                since_view.clear()
+                calls.clear()
+                assert d.view() is view and not calls  # cached: no merge
+                want = _from_edge_dict(reference, base.shape)
+                assert view.equal(want)
+        # Rows dirtied since the last compaction keep accumulating (the
+        # simulated update charge); the refresh work does not.
+        assert d.dirty_row_ids.size > 3
+
+
+def _model_apply(model: dict, batch: EdgeBatch) -> None:
+    """Apply ``batch`` to a plain dict-of-edges model, later ops winning."""
+    vals = batch.vals if batch.vals is not None else np.ones(batch.n_edges)
+    for u, v, w in zip(batch.src.tolist(), batch.dst.tolist(), vals.tolist()):
+        if batch.op == "insert":
+            model[(u, v)] = w
+        else:
+            model.pop((u, v), None)
+
+
+def _assert_same_arrays(got: CSRMatrix, want: CSRMatrix) -> None:
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+@st.composite
+def churn_scripts(draw):
+    """A small base graph plus a sequence of multi-edge insert/delete
+    batches drawn from few rows and few values, so one batch hits a row
+    several times, ops restore base values and deletes miss."""
+    n = draw(st.integers(2, 6))
+    vertex = st.integers(0, n - 1)
+    weight = st.sampled_from([1.0, 2.0, 3.0])
+    base_edges = draw(
+        st.dictionaries(st.tuples(vertex, vertex), weight, max_size=n * n)
+    )
+    batches = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "delete"]),
+                st.lists(st.tuples(vertex, vertex, weight), min_size=1, max_size=6),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    view_every = draw(st.integers(1, 4))
+    limit = draw(st.integers(1, 8))
+    return n, base_edges, batches, view_every, limit
+
+
+class TestIncrementalViewProperty:
+    @given(churn_scripts())
+    @settings(max_examples=150, deadline=None)
+    def test_every_refresh_matches_rebuild_and_model(self, script):
+        n, base_edges, batches, view_every, limit = script
+        base = _from_edge_dict(base_edges, (n, n))
+        d = DeltaCSR(base, compaction_threshold=limit / max(base.nnz, 1))
+        model = dict(base_edges)
+        held: list[tuple[CSRMatrix, CSRMatrix]] = []
+        for i, (op, edges) in enumerate(batches):
+            u, v, w = (np.array(x) for x in zip(*edges))
+            batch = EdgeBatch(u, v, op, vals=w if op == "insert" else None)
+            d.apply(batch)
+            _model_apply(model, batch)
+            # The log holds exactly the edges whose value differs from base.
+            rows, cols, vals = d.base.to_coo()
+            on_base = dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist()))
+            assert d.pending == sum(
+                model.get(e) != on_base.get(e) for e in model.keys() | on_base.keys()
+            )
+            d.maybe_compact()
+            if (i + 1) % view_every:
+                continue
+            view = d.view()
+            view.check()
+            _assert_same_arrays(view, d._rebuild_from_scratch())
+            _assert_same_arrays(view, _from_edge_dict(model, (n, n)))
+            held.append((view, copy.deepcopy(view)))
+        # A refresh never writes into a view a caller may still hold.
+        for view, snapshot in held:
+            _assert_same_arrays(view, snapshot)
 
 
 class TestDirtyClosure:
